@@ -1,8 +1,11 @@
-"""Dense exact linear algebra: rref, kernels, solving, and subquotients.
+"""Exact linear algebra: products, rref, kernels, solving, and subquotients.
 
-Matrices are dense lists-of-lists over one field.  Pivoting is deterministic
-(first nonzero entry in column order) and pivot rows are normalized to 1, so
-every basis produced here is reproducible bit-for-bit.
+Matrices are stored densely, as lists-of-lists over one field, but the two
+hot kernels skip zeros: a product costs one multiply-add per pair of
+nonzeros that meet, and each elimination step touches only the nonzero
+columns of its pivot row.  Pivoting is deterministic (first nonzero entry in
+column order) and pivot rows are normalized to 1, so every basis produced
+here is reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -132,19 +135,20 @@ class Matrix:
         if self.cols != other.rows:
             raise LinAlgError("shape mismatch in mul")
         q = self.field.q
-        a = self.data
-        bt = [other.column(j) for j in range(other.cols)]
+        zero = self.field.zero
+        ncols = other.cols
+        # the nonzeros of each row of the right operand, as (column, entry)
+        brows = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
         out = []
-        for i in range(self.rows):
-            ra = a[i]
-            if q:
-                out.append([sum(ra[k] * col[k] for k in range(self.cols)) % q for col in bt])
-            else:
-                out.append([sum(ra[k] * col[k] for k in range(self.cols)) for col in bt])
+        for ra in self.data:
+            acc = [zero] * ncols
+            for k, a in enumerate(ra):
+                if a:
+                    for j, x in brows[k]:
+                        acc[j] += a * x
+            out.append([x % q for x in acc] if q else acc)
         m = Matrix(self.field, out)
-        m.cols = other.cols
-        if not out:
-            m.cols = other.cols
+        m.cols = ncols
         return m
 
     def apply(self, vec):
@@ -214,7 +218,6 @@ def rref(m: Matrix):
     """
     f = m.field
     q = f.q
-    zero = f.zero
     data = [list(row) for row in m.data]
     nr, nc = m.rows, m.cols
     pivots = []
@@ -222,7 +225,7 @@ def rref(m: Matrix):
     for c in range(nc):
         pr = None
         for i in range(r, nr):
-            if data[i][c] != zero:
+            if data[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -236,15 +239,19 @@ def rref(m: Matrix):
                 data[r] = [(inv * x) % q for x in data[r]]
             else:
                 data[r] = [inv * x for x in data[r]]
-        rowr = data[r]
+        # a row update changes only the columns where the pivot row is nonzero
+        nzr = [(j, x) for j, x in enumerate(data[r]) if x]
         for i in range(nr):
-            if i != r and data[i][c] != zero:
-                factor = data[i][c]
-                rowi = data[i]
-                if q:
-                    data[i] = [(rowi[j] - factor * rowr[j]) % q for j in range(nc)]
-                else:
-                    data[i] = [rowi[j] - factor * rowr[j] for j in range(nc)]
+            rowi = data[i]
+            factor = rowi[c]
+            if i == r or not factor:
+                continue
+            if q:
+                for j, x in nzr:
+                    rowi[j] = (rowi[j] - factor * x) % q
+            else:
+                for j, x in nzr:
+                    rowi[j] -= factor * x
         pivots.append(c)
         r += 1
         if r == nr:

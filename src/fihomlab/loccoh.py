@@ -256,7 +256,10 @@ def verify_main_theorem(M: FIModule, policy: Policy | None = None,
             certs.append(NuCertificate(n, deg, n + r, got, status))
 
     uncertified = reg_report.uncertified_rows
-    if (not lcoh.complete or stable_unknown) and not policy.assume_window_sufficient:
+    # uncertified Tor rows can only raise reg, so lhs < rhs is not yet a FAIL
+    lhs_open = lhs < rhs and bool(uncertified)
+    if ((not lcoh.complete or stable_unknown or lhs_open)
+            and not policy.assume_window_sufficient):
         verdict = "UNCERTIFIED"
     elif lhs == rhs and ok_stable and all(c.passed for c in certs):
         verdict = "PASS"

@@ -4,14 +4,16 @@ Exit-code convention (shared with the command line driver): 0 everything
 verified, 1 a verification failed, 2 the window was insufficient for a
 certified answer, 3 invalid input.  Task results are cached by a content
 hash of (field, window, policy, construction); set ``FIHOMLAB_CACHE_DIR``
-to choose the cache location.
+to choose the cache location.  A corrupt entry counts as a miss.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +54,9 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_WINDOW_INSUFFICIENT = 2
 EXIT_INVALID_INPUT = 3
+
+# statuses whose results are cached; "invalid" is recomputed every time
+CACHED_STATUSES = ("ok", "fail", "window")
 
 
 class BuildError(ValueError):
@@ -308,6 +313,36 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "fihomlab"
 
 
+def _read_cache_entry(cpath: Path):
+    """``(status, data)`` of a cache entry, or None when it is missing or
+    corrupt; a corrupt entry is a miss and is overwritten by the rerun."""
+    try:
+        cached = json.loads(cpath.read_text())
+        status, data = cached["status"], cached["data"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if status not in CACHED_STATUSES or not isinstance(data, dict):
+        return None
+    return status, data
+
+
+def _write_cache_entry(cpath: Path, entry: dict):
+    """Write atomically, so that a concurrent reader never sees a partial
+    entry; a cache that cannot be written is skipped."""
+    tmp = None
+    try:
+        cpath.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cpath.parent, prefix=cpath.stem,
+                                   suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(entry, sort_keys=True))
+        os.replace(tmp, cpath)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
 def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
     policy = policy_from_job(job)
     t0 = time.monotonic()
@@ -324,18 +359,12 @@ def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
     for task, modname in job.tasks:
         key = task_cache_key(job, task, modname)
         cpath = cdir / f"{key}.json"
-        if use_cache and cpath.exists():
-            cached = json.loads(cpath.read_text())
-            results.append(TaskResult(task, modname, cached["status"],
-                                      cached["data"], 0.0, cached=True))
+        cached = _read_cache_entry(cpath) if use_cache else None
+        if cached is not None:
+            results.append(TaskResult(task, modname, *cached, 0.0, cached=True))
             continue
         res = run_task(task, modname, built, job, policy)
         results.append(res)
-        if use_cache and res.status in ("ok", "fail", "window"):
-            try:
-                cdir.mkdir(parents=True, exist_ok=True)
-                cpath.write_text(json.dumps(
-                    {"status": res.status, "data": res.data}, sort_keys=True))
-            except OSError:
-                pass
+        if use_cache and res.status in CACHED_STATUSES:
+            _write_cache_entry(cpath, {"status": res.status, "data": res.data})
     return RunResult(job, results, time.monotonic() - t0)

@@ -113,3 +113,20 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch):
     data["status"] = "fail"
     entry.write_text(json.dumps(data, sort_keys=True))
     assert main(["run", str(path)]) == 1
+
+
+def test_truncated_cache_entry_is_a_miss(demo_job):
+    from fihomlab.jobspec import parse_spec
+    from fihomlab.runner import cache_dir, run_job, task_cache_key
+
+    job = parse_spec(demo_job.read_text())
+    cold = run_job(job)
+    entry = cache_dir() / f"{task_cache_key(job, 'verify', 'T')}.json"
+    text = entry.read_text()
+    entry.write_text(text[:len(text) // 2])
+    rerun = run_job(job)
+    assert rerun.report_dict() == cold.report_dict()
+    assert rerun.report_text() == cold.report_text()
+    assert [r.cached for r in rerun.results] == [True, False, True]
+    assert entry.read_text() == text   # the recomputed entry replaced it
+    assert not list(cache_dir().glob("*.tmp"))

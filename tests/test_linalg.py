@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fihomlab.fields import GF, QQ
@@ -103,3 +105,101 @@ def test_subquotient_space_dims_and_express():
     coords = sq.express(v)
     # the representative must agree with v modulo the killed subspace
     assert in_span(killed, sq.reps * coords - v)
+
+
+# -- dense oracle -------------------------------------------------------
+#
+# Plain dense loops that visit every entry.  They are the reference for the
+# zero-skipping kernels of ``Matrix.__mul__`` and ``rref``: both must give the
+# same entries, rank and pivots.
+
+
+def dense_mul(a, b):
+    q = a.field.q
+    bt = [b.column(j) for j in range(b.cols)]
+    out = []
+    for ra in a.data:
+        row = [sum(ra[k] * col[k] for k in range(a.cols)) for col in bt]
+        out.append([x % q for x in row] if q else row)
+    return out
+
+
+def dense_rref(m):
+    f = m.field
+    data = [list(row) for row in m.data]
+    nr, nc = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if data[i][c] != f.zero), None)
+        if pr is None:
+            continue
+        data[r], data[pr] = data[pr], data[r]
+        inv = f.inv(data[r][c])
+        data[r] = [f.normalize(inv * x) for x in data[r]]
+        rowr = data[r]
+        for i in range(nr):
+            if i != r and data[i][c] != f.zero:
+                factor = data[i][c]
+                data[i] = [f.normalize(data[i][j] - factor * rowr[j])
+                           for j in range(nc)]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return r, tuple(pivots), data
+
+
+ORACLE_FIELDS = [QQ, GF(5), GF(7)]
+oracle_dims = st.integers(0, 6)
+
+
+@st.composite
+def sparse_matrices(draw, field, rows=None, cols=None):
+    """Matrices from all-zero to dense, with some rows and columns zeroed."""
+    r = draw(oracle_dims) if rows is None else rows
+    c = draw(oracle_dims) if cols is None else cols
+    density = draw(st.sampled_from([0, 1, 2, 5, 10]))   # in tenths
+    cells = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(-4, 4)),
+                          min_size=r * c, max_size=r * c))
+    zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=2))
+    entries = [[0 if (i in zero_rows or j in zero_cols or u >= density) else x
+                for j, (u, x) in enumerate(cells[i * c:(i + 1) * c])]
+               for i in range(r)]
+    return Matrix.from_rows(field, entries, ncols=c)
+
+
+def assert_entry_types(field, data):
+    for row in data:
+        for x in row:
+            if field.q:
+                assert type(x) is int and 0 <= x < field.q
+            else:
+                assert type(x) is Fraction
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mul_matches_dense_oracle(field, data):
+    r, k, c = (data.draw(oracle_dims) for _ in range(3))
+    a = data.draw(sparse_matrices(field, r, k))
+    b = data.draw(sparse_matrices(field, k, c))
+    prod = a * b
+    assert (prod.rows, prod.cols) == (r, c)
+    assert prod.data == dense_mul(a, b)
+    assert_entry_types(field, prod.data)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rref_matches_dense_oracle(field, data):
+    m = data.draw(sparse_matrices(field))
+    snapshot = [list(row) for row in m.data]
+    rk, pivots, red = rref(m)
+    assert (rk, pivots, red.data) == dense_rref(m)
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    assert_entry_types(field, red.data)
+    assert m.data == snapshot   # the input is left untouched

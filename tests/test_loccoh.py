@@ -13,6 +13,7 @@ from fihomlab.fimod import (
     induced_morphism,
 )
 from fihomlab.good_ideal import good_ideal
+from fihomlab.jobspec import parse_spec
 from fihomlab.linalg import Matrix
 from fihomlab.loccoh import (
     is_semi_induced,
@@ -22,6 +23,7 @@ from fihomlab.loccoh import (
     verify_main_theorem,
 )
 from fihomlab.reps import basic_rep
+from fihomlab.runner import build_objects, policy_from_job
 
 W = 6
 
@@ -87,6 +89,32 @@ def test_theorem_on_mixed_sum(field):
     rep = verify_main_theorem(M)
     assert rep.verdict == "PASS"
     assert rep.lhs == 2 and rep.t0 == 2 and rep.max_h_plus_i == 1
+
+
+COKERNEL_JOB = """
+rep s2v trivial 2
+rep s2w0 trivial 1
+module s2P0 induced s2w0
+rep s2w1 trivial 0
+module s2P1 induced s2w1
+module s2S1 sum s2P0 s2P1
+morphism s2f induced s2v s2S1 1;1;1
+module s2C cokernel s2f
+task verify s2C
+"""
+
+
+@pytest.mark.parametrize("window, verdict, reg",
+                         [(5, "UNCERTIFIED", 1), (6, "PASS", 2)])
+def test_low_reg_with_uncertified_rows_is_not_a_failure(field, window, verdict, reg):
+    # the cokernel of I(triv_2) -> I(triv_1) + A: at window 5 the certified
+    # Tor rows give reg 1 < rhs 2 while Tor_2 is still uncertified, which
+    # only a larger window can settle
+    job = parse_spec(f"field {field.name}\nwindow {window}\n{COKERNEL_JOB}")
+    rep = verify_main_theorem(build_objects(job)["s2C"], policy_from_job(job))
+    assert rep.verdict == verdict
+    assert (rep.lhs, rep.rhs) == (reg, 2)
+    assert rep.uncertified_rows
 
 
 def test_nu_certificates_on_torsion_module(field):

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from fihomlab.fimod import (
     direct_sum,
     fi_constant,
@@ -7,13 +9,16 @@ from fihomlab.fimod import (
     fi_torsion_concentrated,
     generation_degrees,
 )
+from fihomlab.fields import GF
 from fihomlab.reps import basic_rep
 from fihomlab.tor import (
+    TorError,
     koszul_strand,
     regularity,
     strand_homology_dim,
     tor_rep,
     tor_table,
+    verify_strand,
 )
 
 W = 5
@@ -26,6 +31,17 @@ def test_strand_differentials_are_equivariant_deep(field):
     T = fi_torsion_concentrated(basic_rep("regular", 2, field), 2, 4)
     for n in range(5):
         koszul_strand(T, n, check=True, deep=True)
+
+
+def test_d2_guard_fires_on_a_perturbed_differential():
+    field = GF(5)
+    strand = koszul_strand(fi_constant(field, 4), 4)
+    d2, d3 = strand.diffs[2], strand.diffs[3]
+    # an entry (0, k) of d2 whose column k meets a nonzero of row k of d3
+    k = next(k for k in range(d3.rows) if any(d3.data[k]))
+    d2.data[0][k] = (d2.data[0][k] + 1) % field.q
+    with pytest.raises(TorError, match="d\\^2"):
+        verify_strand(strand)
 
 
 def test_constant_module_strands_exact(field):
