@@ -11,6 +11,7 @@ The central harness checks the identity
 on concrete modules, with the two sides computed by independent pipelines
 and certified by the annihilator invariant of top-degree Tor pieces.
 """
+from ._version import __version__
 from .fields import GF, QQ, Field, FieldError, field_by_name
 from .linalg import Matrix, SubquotientSpace, kernel_basis, column_space_basis, rref
 from .permutations import Permutation, all_permutations, factor_adjacent
@@ -60,6 +61,7 @@ from .fimod import (
 from .tor import (
     RegularityReport,
     TorTable,
+    cached_strand,
     koszul_strand,
     regularity,
     strand_homology_dim,
@@ -81,5 +83,3 @@ from .loccoh import (
 from .jobspec import JobSpec, SpecParseError, parse_spec
 from .runner import RunResult, TaskResult, run_job
 from .suite import run_suite
-
-__version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .linalg import (
     kronecker,
 )
 from .reps import SnRep, direct_sum_reps, zero_rep
-from .tor import TorTable, koszul_strand
+from .tor import TorTable, cached_strand
 
 INF = math.inf
 
@@ -117,7 +117,7 @@ class _TotalStrand:
         self.C = C
         self.g = g
         self.field = C.field
-        self.strands = {m: koszul_strand(C.terms[m], g) for m in C.terms}
+        self.strands = {m: cached_strand(C.terms[m], g) for m in C.terms}
         self.blocks = {}  # c -> ordered list of (m, i)
         lo = C.lo - g
         hi = C.hi
@@ -131,8 +131,7 @@ class _TotalStrand:
 
     def space_rep(self, c) -> SnRep:
         blocks = self.blocks.get(c, [])
-        reps = [self.strands[m].terms[i] for m, i in blocks]
-        reps = [r for r in reps]
+        reps = [self.strands[m].term(i) for m, i in blocks]
         if not reps:
             return zero_rep(self.g, self.field)
         return direct_sum_reps(reps) if len(reps) > 1 else reps[0]

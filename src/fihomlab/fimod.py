@@ -48,7 +48,8 @@ class WindowExhausted(FIError):
 
 
 class FIModule:
-    __slots__ = ("field", "window", "pieces", "steps", "valid_through", "torsion_hint")
+    __slots__ = ("field", "window", "pieces", "steps", "valid_through", "torsion_hint",
+                 "strands")
 
     def __init__(self, field, window, pieces, steps, valid_through=None,
                  torsion_hint=False, check=True):
@@ -58,6 +59,9 @@ class FIModule:
         self.steps = tuple(steps)
         self.valid_through = window if valid_through is None else valid_through
         self.torsion_hint = torsion_hint
+        # verified Koszul strands by degree, filled by ``tor.cached_strand``;
+        # the data above is never mutated, so they stay valid for the module's life
+        self.strands = {}
         if len(self.pieces) != window + 1 or len(self.steps) != window:
             raise FIError("window/pieces/steps length mismatch")
         if self.valid_through > window:
@@ -234,13 +238,6 @@ def fi_shift(M: FIModule, a: int) -> FIModule:
     return FIModule(
         M.field, window, pieces, steps,
         valid_through=M.valid_through - a, torsion_hint=M.torsion_hint,
-    )
-
-
-def fi_shift_morphism(f: FIMorphism, a: int) -> FIMorphism:
-    return FIMorphism(
-        fi_shift(f.source, a), fi_shift(f.target, a),
-        [f.maps[n + a] for n in range(f.source.window - a + 1)],
     )
 
 

@@ -377,19 +377,3 @@ class SubquotientSpace:
         out.cols = self.dim
         return out
 
-
-def subquotient_action(action: Matrix, sub: Matrix, killed: Matrix | None = None) -> Matrix:
-    """Matrix of the operator induced by ``action`` on span(sub)/span(killed).
-
-    Requires ``action`` to preserve both spans; a violation raises
-    :class:`InvariantViolation` (it signals an upstream equivariance bug).
-    """
-    f = action.field
-    if killed is None:
-        killed = Matrix.zeros(f, sub.rows, 0)
-    if sub.cols and not in_span(sub, action * sub):
-        raise InvariantViolation("action does not preserve sub space")
-    if killed.cols and not in_span(killed, action * killed):
-        raise InvariantViolation("action does not preserve killed space")
-    sq = SubquotientSpace.from_sub_killed(sub, killed)
-    return sq.induced_map(action, sq)

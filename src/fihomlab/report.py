@@ -25,14 +25,6 @@ def enc(v):
     return int(v)
 
 
-def dec(v):
-    if v == "inf":
-        return INF
-    if v == "-inf":
-        return -INF
-    return v
-
-
 # -- dict builders -----------------------------------------------------
 
 

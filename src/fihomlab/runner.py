@@ -3,7 +3,8 @@
 Exit-code convention (shared with the command line driver): 0 everything
 verified, 1 a verification failed, 2 the window was insufficient for a
 certified answer, 3 invalid input.  Task results are cached by a content
-hash of (field, window, policy, construction); set ``FIHOMLAB_CACHE_DIR``
+hash of (package version, field, window, policy, construction), so entries
+written by another version are misses; set ``FIHOMLAB_CACHE_DIR``
 to choose the cache location.  A corrupt entry counts as a miss.
 """
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._version import __version__
 from .fimod import (
     FIError,
     FIModule,
@@ -296,6 +298,7 @@ def _closure_key(job: JobSpec, name) -> list:
 
 def task_cache_key(job: JobSpec, task: str, modname) -> str:
     payload = {
+        "version": __version__,
         "field": job.field.name,
         "window": job.window,
         "policy": dict(sorted(job.policy.items())),

@@ -18,6 +18,7 @@ from .linalg import (
     SubquotientSpace,
     column_space_basis,
     kernel_basis,
+    rank,
 )
 from .permutations import Permutation
 from .reps import SnRep, basic_rep, external_tensor, induce_young, zero_rep
@@ -29,34 +30,51 @@ class TorError(ValueError):
     pass
 
 
-@dataclass
 class StrandComplex:
     """The degree-n Koszul strand: chain complex of S_n-representations.
 
     ``diffs[i]`` is the differential from term i to term i-1 (1 <= i <= n).
+    Only the term dimensions C(n, i) * dim M_{n-i} are stored: the
+    representation on a term is induced when :meth:`term` reads it.  The rank
+    of each differential is computed at most once.
     """
 
-    n: int
-    terms: list
-    diffs: list
+    __slots__ = ("n", "field", "dims", "diffs", "_pieces", "_ranks")
+
+    def __init__(self, M: FIModule, n: int, dims: list, diffs: list):
+        self.n = n
+        self.field = M.field
+        self.dims = dims
+        self.diffs = diffs
+        self._pieces = M.pieces
+        self._ranks = {}
 
     def term_dim(self, i):
-        return self.terms[i].dim if 0 <= i <= self.n else 0
+        return self.dims[i] if 0 <= i <= self.n else 0
+
+    def term(self, i) -> SnRep:
+        """Ind over S_i x S_{n-i} of (sign of S_i) boxtimes M_{n-i}."""
+        piece = self._pieces[self.n - i]
+        if piece.dim == 0:
+            return zero_rep(self.n, self.field)
+        return induce_young(external_tensor(basic_rep("sign", i, self.field), piece))
+
+    def rank(self, i) -> int:
+        """Rank of ``diffs[i]``; zero outside 1..n."""
+        if not 1 <= i <= self.n:
+            return 0
+        r = self._ranks.get(i)
+        if r is None:
+            r = self._ranks[i] = rank(self.diffs[i])
+        return r
 
 
 def koszul_strand(M: FIModule, n: int, check: bool = True, deep: bool = False) -> StrandComplex:
+    """Build the degree-n strand afresh; :func:`cached_strand` reuses one."""
     if n > M.valid_through:
         raise TorError(f"strand at degree {n} needs valid window >= {n}")
     field = M.field
-    terms = []
-    for i in range(n + 1):
-        piece = M.pieces[n - i]
-        if piece.dim == 0:
-            terms.append(zero_rep(n, field))
-        else:
-            terms.append(
-                induce_young(external_tensor(basic_rep("sign", i, field), piece))
-            )
+    dims = [math.comb(n, i) * M.dim(n - i) for i in range(n + 1)]
     diffs = [None]
     for i in range(1, n + 1):
         dim_m = M.dim(n - i)
@@ -64,9 +82,8 @@ def koszul_strand(M: FIModule, n: int, check: bool = True, deep: bool = False) -
         subs_i = list(combinations(range(1, n + 1), i))
         subs_i1 = list(combinations(range(1, n + 1), i - 1))
         idx1 = {s: k for k, s in enumerate(subs_i1)}
-        mat = Matrix.zeros(field, terms[i - 1].dim, terms[i].dim)
+        mat = Matrix.zeros(field, dims[i - 1], dims[i])
         if dim_m and dim_m1:
-            piece = M.pieces[n - i]
             step = M.steps[n - i]
             for k, T in enumerate(subs_i):
                 complement = [x for x in range(1, n + 1) if x not in set(T)]
@@ -86,9 +103,21 @@ def koszul_strand(M: FIModule, n: int, check: bool = True, deep: bool = False) -
                                 row[c0 + c] + sign * lrow[c]
                             )
         diffs.append(mat)
-    strand = StrandComplex(n, terms, diffs)
+    strand = StrandComplex(M, n, dims, diffs)
     if check:
         verify_strand(strand, deep=deep)
+    return strand
+
+
+def cached_strand(M: FIModule, n: int) -> StrandComplex:
+    """The degree-n strand of M, built and d^2-checked once per module.
+
+    Only strands that passed :func:`verify_strand` are kept, in
+    ``M.strands``, so they die with the module.
+    """
+    strand = M.strands.get(n)
+    if strand is None:
+        strand = M.strands[n] = koszul_strand(M, n)
     return strand
 
 
@@ -100,41 +129,45 @@ def verify_strand(strand: StrandComplex, deep: bool = False):
             raise TorError(f"d^2 != 0 at strand term {i} (sign-convention bug)")
     if not deep:
         return
+    tgt = strand.term(0)
     for i in range(1, strand.n + 1):
         d = strand.diffs[i]
-        src, tgt = strand.terms[i], strand.terms[i - 1]
+        src = strand.term(i)
         for k in range(max(strand.n - 1, 0)):
             if d * src.gens[k] != tgt.gens[k] * d:
                 raise TorError(f"strand differential not equivariant at term {i}")
+        tgt = src
 
 
 def _strand_homology_sq(strand: StrandComplex, i: int) -> SubquotientSpace:
-    field = strand.terms[0].field if strand.terms else None
-    term = strand.terms[i]
+    """Cycles modulo boundaries at term i, with quotient representatives."""
+    field, dim = strand.field, strand.term_dim(i)
     if i + 1 <= strand.n:
         boundaries = column_space_basis(strand.diffs[i + 1])
     else:
-        boundaries = Matrix.zeros(term.field, term.dim, 0)
+        boundaries = Matrix.zeros(field, dim, 0)
     if i >= 1:
         cycles = kernel_basis(strand.diffs[i])
     else:
-        cycles = Matrix.identity(term.field, term.dim)
+        cycles = Matrix.identity(field, dim)
     return SubquotientSpace.from_sub_killed(cycles, boundaries)
 
 
 def strand_homology_dim(strand: StrandComplex, i: int) -> int:
+    """dim C_i - rank d_i - rank d_{i+1}.  This counts cycles modulo
+    boundaries because boundaries lie in the cycles, which is d^2 = 0."""
     if i < 0 or i > strand.n:
         return 0
-    return _strand_homology_sq(strand, i).dim
+    return strand.term_dim(i) - strand.rank(i) - strand.rank(i + 1)
 
 
 def tor_rep(M: FIModule, i: int, n: int) -> SnRep:
     """Tor_i(M) in degree n, materialized as an honest S_n-representation."""
-    strand = koszul_strand(M, n)
+    strand = cached_strand(M, n)
     if i < 0 or i > n:
         return zero_rep(n, M.field)
     sq = _strand_homology_sq(strand, i)
-    gens = [sq.induced_map(g, sq) for g in strand.terms[i].gens]
+    gens = [sq.induced_map(g, sq) for g in strand.term(i).gens]
     return SnRep(n, M.field, gens, dim=sq.dim)
 
 
@@ -189,7 +222,7 @@ def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
     n_max = M.valid_through
     entries = {}
     for n in range(n_max + 1):
-        strand = koszul_strand(M, n)
+        strand = cached_strand(M, n)
         for i in range(0, min(i_max, n) + 1):
             d = strand_homology_dim(strand, i)
             if d:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from fihomlab.fields import GF, QQ
+from fihomlab.fimod import direct_sum, equivariant_hom_basis, fi_induced, induced_morphism
 from fihomlab.linalg import Matrix, column_space_basis, rref
 from fihomlab.reps import basic_rep, conjugate_rep, direct_sum_reps
 
@@ -54,6 +55,27 @@ def orbit_span_subrep(rep, rng):
         if grown.cols == span.cols:
             return span
         span = grown
+
+
+def random_induced_morphism(field, rng, window=5):
+    """A nonzero morphism I(V) -> I(W_1) (+ I(W_2)) with a random equivariant seed."""
+    while True:
+        dV = rng.randint(1, 2)
+        V = basic_rep(rng.choice(["trivial", "sign"]), dV, field)
+        seeds = [basic_rep(rng.choice(["trivial", "sign"]), rng.randint(0, 2), field)
+                 for _ in range(rng.randint(1, 2))]
+        target = fi_induced(seeds[0], window)
+        for Wseed in seeds[1:]:
+            target = direct_sum(target, fi_induced(Wseed, window))
+        basis = equivariant_hom_basis(V, target.pieces[dV])
+        if not basis:
+            continue
+        f0 = Matrix.zeros(field, target.dim(dV), V.dim)
+        for b in basis:
+            f0 = f0 + b.scale(field.of(rng.randint(-2, 2)))
+        if f0.is_zero():
+            continue
+        return induced_morphism(V, target, f0)
 
 
 ACCEPTANCE_LINES = []

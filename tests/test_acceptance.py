@@ -10,13 +10,12 @@ from contextlib import contextmanager
 import pytest
 
 import conftest
-from conftest import orbit_span_subrep, random_rep
+from conftest import orbit_span_subrep, random_induced_morphism, random_rep
 
 from fihomlab.complexes import FIComplex
 from fihomlab.fields import GF, QQ
 from fihomlab.fimod import (
     direct_sum,
-    equivariant_hom_basis,
     fi_constant,
     fi_induced,
     fi_torsion_concentrated,
@@ -204,26 +203,6 @@ def positive_part(field, window=W):
     f = induced_morphism(basic_rep("trivial", 1, field), A,
                          Matrix.from_rows(field, [[1]]))
     return image(f)[0]
-
-
-def random_induced_morphism(field, rng, window=5):
-    while True:
-        dV = rng.randint(1, 2)
-        V = basic_rep(rng.choice(["trivial", "sign"]), dV, field)
-        seeds = [basic_rep(rng.choice(["trivial", "sign"]), rng.randint(0, 2), field)
-                 for _ in range(rng.randint(1, 2))]
-        target = fi_induced(seeds[0], window)
-        for Wseed in seeds[1:]:
-            target = direct_sum(target, fi_induced(Wseed, window))
-        basis = equivariant_hom_basis(V, target.pieces[dV])
-        if not basis:
-            continue
-        f0 = Matrix.zeros(field, target.dim(dV), V.dim)
-        for b in basis:
-            f0 = f0 + b.scale(field.of(rng.randint(-2, 2)))
-        if f0.is_zero():
-            continue
-        return induced_morphism(V, target, f0)
 
 
 @pytest.fixture(scope="module")

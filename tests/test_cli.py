@@ -130,3 +130,14 @@ def test_truncated_cache_entry_is_a_miss(demo_job):
     assert [r.cached for r in rerun.results] == [True, False, True]
     assert entry.read_text() == text   # the recomputed entry replaced it
     assert not list(cache_dir().glob("*.tmp"))
+
+
+def test_cache_key_depends_on_the_package_version(monkeypatch):
+    from fihomlab import runner
+    from fihomlab.jobspec import parse_spec
+
+    job = parse_spec("field F5\nwindow 3\nmodule A constant\ntask tor A\n")
+    key = runner.task_cache_key(job, "tor", "A")
+    assert runner.task_cache_key(job, "tor", "A") == key
+    monkeypatch.setattr(runner, "__version__", runner.__version__ + ".post1")
+    assert runner.task_cache_key(job, "tor", "A") != key

@@ -1,18 +1,29 @@
 import math
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_induced_morphism, random_rep
+
+import fihomlab.tor as tor
 from fihomlab.fimod import (
+    cokernel,
     direct_sum,
     fi_constant,
     fi_induced,
     fi_torsion_concentrated,
     generation_degrees,
+    kernel,
 )
-from fihomlab.fields import GF
-from fihomlab.reps import basic_rep
+from fihomlab.fields import GF, QQ
+from fihomlab.loccoh import verify_main_theorem
+from fihomlab.reps import SnRep, basic_rep
 from fihomlab.tor import (
     TorError,
+    _strand_homology_sq,
+    cached_strand,
     koszul_strand,
     regularity,
     strand_homology_dim,
@@ -110,3 +121,82 @@ def test_zero_module_has_empty_table(field):
     table = tor_table(zero_module(field, 3))
     assert not table.entries
     assert regularity(zero_module(field, 3)).reg == -math.inf
+
+
+# -- homology from ranks, checked against the subquotient -------------
+
+
+def _random_module(kind, field, rng, window=4):
+    if kind == "constant":
+        return fi_constant(field, window)
+    if kind == "torsion":
+        d = rng.randint(1, 3)
+        V = random_rep(d, field, rng, max_summands=2)
+        return fi_torsion_concentrated(V, d, window)
+    f = random_induced_morphism(field, rng, window)
+    return (kernel if kind == "kernel" else cokernel)(f)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["constant", "torsion", "kernel", "cokernel"]),
+       field=st.sampled_from([QQ, GF(5)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rank_formula_matches_subquotient_oracle(kind, field, seed):
+    M = _random_module(kind, field, random.Random(seed))
+    for n in range(M.valid_through + 1):
+        strand = koszul_strand(M, n)
+        assert strand_homology_dim(strand, -1) == strand_homology_dim(strand, n + 1) == 0
+        for i in range(n + 1):
+            assert strand_homology_dim(strand, i) == _strand_homology_sq(strand, i).dim
+
+
+# -- one strand per (module, degree) ----------------------------------
+
+
+def test_verify_builds_each_strand_once(monkeypatch):
+    field = GF(5)
+    mix = direct_sum(
+        fi_induced(basic_rep("sign", 2, field), 6),
+        fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 6),
+    )
+    builds = Counter()
+    seen = []  # keeps every module alive, so that ids stay distinct
+    build = tor.koszul_strand
+
+    def counting(M, n, *args, **kwargs):
+        seen.append(M)
+        builds[(id(M), n)] += 1
+        return build(M, n, *args, **kwargs)
+
+    monkeypatch.setattr(tor, "koszul_strand", counting)
+    assert verify_main_theorem(mix).verdict == "PASS"
+    assert builds and max(builds.values()) == 1
+    assert sorted(mix.strands) == list(range(mix.valid_through + 1))
+
+
+def test_only_verified_strands_are_cached(monkeypatch):
+    A = fi_constant(GF(5), 4)
+    koszul_strand(A, 3, check=False)
+    assert A.strands == {}
+
+    def failing(strand, deep=False):
+        raise TorError("d^2 != 0 (injected)")
+
+    monkeypatch.setattr(tor, "verify_strand", failing)
+    with pytest.raises(TorError):
+        cached_strand(A, 3)
+    assert A.strands == {}
+    monkeypatch.undo()
+    assert cached_strand(A, 3) is cached_strand(A, 3) is A.strands[3]
+
+
+def test_tor_rep_of_cached_strand_matches_fresh_build(field):
+    T = fi_torsion_concentrated(basic_rep("regular", 2, field), 2, 5)
+    tor_table(T)
+    assert 4 in T.strands
+    fresh = koszul_strand(T, 4)
+    sq = _strand_homology_sq(fresh, 2)
+    expected = SnRep(4, field, [sq.induced_map(g, sq) for g in fresh.term(2).gens],
+                     dim=sq.dim)
+    assert tor_rep(T, 2, 4) == expected
+    assert expected.dim == math.comb(4, 2) * 2
