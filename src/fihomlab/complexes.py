@@ -1,23 +1,26 @@
 """Bounded complexes of FI-modules, their cohomology, and hyper-Tor.
 
 Cohomological indexing: differentials raise the index by one.  Hyper-Tor in
-homological index n is the cohomology in degree -n of the total complex
-built from the Koszul strands of every term.
+homological index n is the homology in index n of the total strand, a
+:class:`~fihomlab.tor.StrandComplex` built from the Koszul strands of every
+term.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .fimod import FIModule, subquotient_module
-from .linalg import (
-    Matrix,
-    SubquotientSpace,
-    column_space_basis,
-    kernel_basis,
-    kronecker,
-)
+from .linalg import Matrix, block_diag, column_space_basis, kernel_basis
 from .reps import SnRep, direct_sum_reps, zero_rep
-from .tor import TorTable, cached_strand
+from .tor import (
+    StrandComplex,
+    TorTable,
+    cached_strand,
+    homology_rep,
+    strand_homology_dim,
+    verify_strand,
+)
 
 INF = math.inf
 
@@ -105,109 +108,72 @@ def complex_cohomology(C: FIComplex) -> dict:
 # -- hyper-Tor --------------------------------------------------------
 
 
-class _TotalStrand:
-    """Total complex of the Koszul strands of every term, in one graded degree.
+def _total_term(strands, g, field, k) -> SnRep:
+    """Index k of a total strand: the sum of the Koszul terms sitting there."""
+    reps = [strands[m].term(k + m) for m in strands if 0 <= k + m <= g]
+    return direct_sum_reps(reps) if reps else zero_rep(g, field)
 
-    Position (term index m, Koszul index i) sits in total cohomological
-    degree c = m - i.  The total differential is the Koszul differential
-    plus (-1)^i times the induced complex differential.
+
+def total_strand(C: FIComplex, g: int) -> StrandComplex:
+    """Total complex of the Koszul strands of every term, in graded degree g.
+
+    Position (term index m, Koszul index i) sits at homological index i - m,
+    so Tor_n(C)_g is H_n.  The total differential is the Koszul differential
+    plus (-1)^i times the complex differential on each of the C(g, i)
+    blocks of a Koszul term.
     """
+    field = C.field
+    strands = {m: cached_strand(C.terms[m], g) for m in sorted(C.terms)}
+    lo, hi = -C.hi, g - C.lo
+    offsets, dims = {}, {}  # index k -> {(m, i): offset in term order}, total
+    for k in range(lo, hi + 1):
+        offsets[k], off = {}, 0
+        for m, s in strands.items():
+            if 0 <= k + m <= g:
+                offsets[k][(m, k + m)] = off
+                off += s.term_dim(k + m)
+        dims[k] = off
+    diffs = {}
+    for k in range(lo + 1, hi + 1):
+        tgt = offsets[k - 1]
+        out = Matrix.zeros(field, dims[k - 1], dims[k])
+        for (m, i), c0 in offsets[k].items():
+            if (m, i - 1) in tgt:
+                _paste(out, tgt[(m, i - 1)], c0, strands[m].diffs[i])
+            if (m + 1, i) in tgt:
+                delta = C.diff_matrix(m, g - i)
+                blk = block_diag(field, [delta] * math.comb(g, i))
+                if i % 2:
+                    blk = blk.scale(field.of(-1))
+                _paste(out, tgt[(m + 1, i)], c0, blk)
+        diffs[k] = out
+    strand = StrandComplex(g, field, lo, hi, dims, diffs,
+                           partial(_total_term, strands, g, field))
+    verify_strand(strand)
+    return strand
 
-    def __init__(self, C: FIComplex, g: int):
-        self.C = C
-        self.g = g
-        self.field = C.field
-        self.strands = {m: cached_strand(C.terms[m], g) for m in C.terms}
-        self.blocks = {}  # c -> ordered list of (m, i)
-        lo = C.lo - g
-        hi = C.hi
-        for c in range(lo, hi + 1):
-            blocks = [
-                (m, m - c)
-                for m in sorted(C.terms)
-                if 0 <= m - c <= g
-            ]
-            self.blocks[c] = blocks
 
-    def space_rep(self, c) -> SnRep:
-        blocks = self.blocks.get(c, [])
-        reps = [self.strands[m].term(i) for m, i in blocks]
-        if not reps:
-            return zero_rep(self.g, self.field)
-        return direct_sum_reps(reps) if len(reps) > 1 else reps[0]
-
-    def dim(self, c) -> int:
-        return sum(self.strands[m].term_dim(i) for m, i in self.blocks.get(c, []))
-
-    def total_diff(self, c) -> Matrix:
-        """Matrix from total degree c to c + 1."""
-        src = self.blocks.get(c, [])
-        tgt = self.blocks.get(c + 1, [])
-        rows = self.dim(c + 1)
-        cols = self.dim(c)
-        out = Matrix.zeros(self.field, rows, cols)
-        col_off = {}
-        off = 0
-        for m, i in src:
-            col_off[(m, i)] = off
-            off += self.strands[m].term_dim(i)
-        row_off = {}
-        off = 0
-        for m, i in tgt:
-            row_off[(m, i)] = off
-            off += self.strands[m].term_dim(i)
-        for m, i in src:
-            c0 = col_off[(m, i)]
-            # Koszul component: (m, i) -> (m, i - 1)
-            if (m, i - 1) in row_off and i >= 1:
-                blk = self.strands[m].diffs[i]
-                self._paste(out, row_off[(m, i - 1)], c0, blk)
-            # complex component: (m, i) -> (m + 1, i), sign (-1)^i
-            if (m + 1, i) in row_off:
-                delta = self.C.diff_matrix(m, self.g - i)
-                if delta.rows and delta.cols:
-                    nsub = math.comb(self.g, i)
-                    blk = kronecker(Matrix.identity(self.field, nsub), delta)
-                    if i % 2:
-                        blk = blk.scale(self.field.of(-1))
-                    self._paste(out, row_off[(m + 1, i)], c0, blk)
-        return out
-
-    @staticmethod
-    def _paste(out, r0, c0, blk):
-        for r in range(blk.rows):
-            row = out.data[r0 + r]
-            brow = blk.data[r]
-            for c in range(blk.cols):
-                row[c0 + c] = brow[c]
-
-    def homology_sq(self, c) -> SubquotientSpace:
-        cycles = kernel_basis(self.total_diff(c))
-        boundaries = column_space_basis(self.total_diff(c - 1))
-        return SubquotientSpace.from_sub_killed(cycles, boundaries)
+def _paste(out, r0, c0, blk):
+    for r, row in enumerate(blk.data):
+        out.data[r0 + r][c0:c0 + blk.cols] = row
 
 
 def hyper_tor(C: FIComplex, i_max: int) -> TorTable:
     """Dimension table of Tor_n(C) in each graded degree, n = 0..i_max.
 
-    Tor_n is the total-complex cohomology in degree -n; on one-term complexes
-    at index 0 this reduces to the module Tor table.
+    On one-term complexes at index 0 this reduces to the module Tor table.
     """
     entries = {}
     n_max = C.valid_through
     for g in range(n_max + 1):
-        total = _TotalStrand(C, g)
+        total = total_strand(C, g)
         for n in range(i_max + 1):
-            d = total.homology_sq(-n).dim
+            d = strand_homology_dim(total, n)
             if d:
                 entries[(n, g)] = d
     return TorTable(i_max, n_max, entries, kind="hyper")
 
 
 def hyper_tor_rep(C: FIComplex, n: int, g: int) -> SnRep:
-    """Tor_n(C) in graded degree g, materialized as an S_g-representation."""
-    total = _TotalStrand(C, g)
-    sq = total.homology_sq(-n)
-    ambient = total.space_rep(-n)
-    gens = [sq.induced_map(gen, sq) for gen in ambient.gens]
-    return SnRep(g, C.field, gens, dim=sq.dim)
+    """Tor_n(C) in graded degree g as an S_g-representation."""
+    return homology_rep(total_strand(C, g), n)

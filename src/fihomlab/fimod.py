@@ -476,21 +476,14 @@ def generation_degrees(M: FIModule) -> list[int]:
         span = column_space_basis(M.steps[n - 1])
         rep = M.pieces[n]
         while True:
-            mats = [span] + [g * span for g in rep.gens]
-            grown = column_space_basis(
-                mats[0].hstack(mats[1]) if len(mats) == 2 else _hstack_all(mats)
-            )
+            stacked = span
+            for g in rep.gens:
+                stacked = stacked.hstack(g * span)
+            grown = column_space_basis(stacked)
             if grown.cols == span.cols:
                 break
             span = grown
         out.append(M.dim(n) - span.cols)
-    return out
-
-
-def _hstack_all(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
     return out
 
 

@@ -66,7 +66,7 @@ class JobSpec:
             out.append("policy assume-window-sufficient")
         for name, (kind, deg) in self.reps.items():
             out.append(f"rep {name} {kind} {deg}")
-        for name in self._definition_order:
+        for name in self.order:
             if name in self.modules:
                 spec = self.modules[name]
                 out.append(f"module {name} " + " ".join(str(x) for x in spec))
@@ -77,23 +77,6 @@ class JobSpec:
         for task, arg in self.tasks:
             out.append(f"task {task}" + (f" {arg}" if arg else ""))
         return "\n".join(out) + "\n"
-
-    @property
-    def _definition_order(self):
-        return self.order
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, JobSpec)
-            and self.field == other.field
-            and self.window == other.window
-            and self.reps == other.reps
-            and self.modules == other.modules
-            and self.morphisms == other.morphisms
-            and self.tasks == other.tasks
-            and self.policy == other.policy
-            and self.order == other.order
-        )
 
 
 def parse_spec(text: str) -> JobSpec:

@@ -151,13 +151,6 @@ class Matrix:
         m.cols = ncols
         return m
 
-    def apply(self, vec):
-        """Matrix times column vector (a plain list)."""
-        q = self.field.q
-        if q:
-            return [sum(row[k] * vec[k] for k in range(self.cols)) % q for row in self.data]
-        return [sum(row[k] * vec[k] for k in range(self.cols)) for row in self.data]
-
     def transpose(self):
         m = Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
                                 for j in range(self.cols)])

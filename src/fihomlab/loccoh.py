@@ -34,9 +34,7 @@ class Policy:
 
     i_max: int = 2                 # Tor vanishing depth for semi-induced tests
     lcoh_i_max: int = 6            # recursion depth cap
-    tor_i_max: int | None = None   # None: window minus least generator degree
     nu_p: int | None = None        # None: 2 unless char 2, else 3
-    nu_certificates: bool = True
     assume_window_sufficient: bool = False
 
     def choose_p(self, field) -> int:
@@ -88,7 +86,7 @@ class LocCohTable:
     rows: dict                # i -> LocCohRow
     depth: int                # first level at which the recursion terminated
     trace: list               # (shift b, cokernel dims) per level
-    complete: bool            # False when the window or i_max cut the recursion
+    complete: bool            # False when the window or lcoh_i_max cut the recursion
     window: int
 
     def dim(self, i, n):
@@ -114,17 +112,11 @@ class LocCohTable:
                 return i
         return None
 
-    def nonzero_rows(self):
-        return sorted(i for i in self.rows if self.h(i) != -INF)
 
-
-def local_cohomology(M: FIModule, i_max: int | None = None,
-                     policy: Policy | None = None) -> LocCohTable:
+def local_cohomology(M: FIModule, policy: Policy | None = None) -> LocCohTable:
     """All H^i via the shift recursion; H^0 is cross-checked against the
     torsion submodule at every level."""
     policy = policy or Policy()
-    if i_max is None:
-        i_max = policy.lcoh_i_max
     rows = {}
     trace = []
     cur = M
@@ -133,7 +125,7 @@ def local_cohomology(M: FIModule, i_max: int | None = None,
     while True:
         if is_semi_induced(cur, policy) == "yes":
             break
-        if level > i_max:
+        if level > policy.lcoh_i_max:
             complete = False
             break
         tp = torsion_submodule(cur)
@@ -201,7 +193,7 @@ def verify_main_theorem(M: FIModule, policy: Policy | None = None,
     """Check the regularity / local cohomology identity on one module, with
     the two sides computed by independent pipelines."""
     policy = policy or Policy()
-    table = tor_table(M, policy.tor_i_max)
+    table = tor_table(M)
     reg_report = regularity(M, table=table)
     lcoh = local_cohomology(M, policy=policy)
 
@@ -237,7 +229,7 @@ def verify_main_theorem(M: FIModule, policy: Policy | None = None,
         ok_stable = stable_from is not None
 
     certs = []
-    if policy.nu_certificates and mh != -INF and stable_from is not None:
+    if mh != -INF and stable_from is not None:
         if gi is None:
             gi = good_ideal(policy.choose_p(M.field), M.field)
         r = lcoh.min_row_attaining()

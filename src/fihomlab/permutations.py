@@ -61,9 +61,6 @@ class Permutation:
             img[y - 1] = x
         return Permutation(img)
 
-    def is_identity(self):
-        return all(y == x for x, y in enumerate(self.images, start=1))
-
     def sign(self):
         inv = sum(
             1

@@ -53,10 +53,6 @@ class SnRep:
                 if g[i] * g[j] != g[j] * g[i]:
                     raise RepError(f"distant generators s_{i + 1}, s_{j + 1} do not commute")
 
-    def gen(self, i):
-        """Matrix of the adjacent transposition s_i, 1-based."""
-        return self.gens[i - 1]
-
     def perm_matrix(self, perm: Permutation) -> Matrix:
         if perm.n != self.n:
             raise RepError("degree mismatch")
@@ -171,15 +167,6 @@ class BlockRep:
         self.field = U.field
         self.dim = U.dim * W.dim
 
-    def gen(self, i):
-        """Matrix of s_i on the block group; s_a is absent by design."""
-        a, b = self.a, self.b
-        if 1 <= i <= a - 1:
-            return kronecker(self.U.gens[i - 1], Matrix.identity(self.field, self.W.dim))
-        if a + 1 <= i <= a + b - 1:
-            return kronecker(Matrix.identity(self.field, self.U.dim), self.W.gens[i - a - 1])
-        raise RepError(f"s_{i} is not in the Young subgroup S_{a} x S_{b}")
-
     def pair_matrix(self, pi: Permutation, rho: Permutation) -> Matrix:
         """Matrix of (pi, rho) in S_a x S_b."""
         return kronecker(self.U.perm_matrix(pi), self.W.perm_matrix(rho))
@@ -196,7 +183,7 @@ def _coset_rep(subset, n):
     return Permutation(list(subset) + rest)
 
 
-def induce_young(block: BlockRep, check: bool = False) -> SnRep:
+def induce_young(block: BlockRep) -> SnRep:
     """Induction Ind_{S_a x S_b}^{S_n} of an external tensor, n = a + b.
 
     Basis: for each a-subset S of {1..n} in lexicographic order (S marks
@@ -231,9 +218,9 @@ def induce_young(block: BlockRep, check: bool = False) -> SnRep:
                 for c in range(inner):
                     row[c0 + c] = brow[c]
         gens.append(m)
-    # Coxeter verification is quadratic-in-dim matrix work; callers on hot
-    # paths skip it and the test suite covers the construction instead.
-    return SnRep(n, field, gens, dim=dim, check=check)
+    # Coxeter verification is quadratic-in-dim matrix work; it is skipped on
+    # this hot path and the test suite covers the construction instead.
+    return SnRep(n, field, gens, dim=dim, check=False)
 
 
 def act(x: GroupAlgebraElement, rep: SnRep) -> Matrix:

@@ -144,7 +144,7 @@ def build_objects(job: JobSpec) -> dict:
     built: dict = {}
     for name, (kind, deg) in job.reps.items():
         built[name] = basic_rep(kind, deg, field)
-    for name in job._definition_order:
+    for name in job.order:
         try:
             if name in job.modules:
                 spec = job.modules[name]
@@ -195,11 +195,10 @@ def build_objects(job: JobSpec) -> dict:
 def _run_koszul_check(field, window) -> TaskResult:
     t0 = time.monotonic()
     A = fi_constant(field, window)
-    ok = True
     h0 = []
     positive = 0
     for n in range(window + 1):
-        strand = koszul_strand(A, n, check=True, deep=True)
+        strand = koszul_strand(A, n, deep=True)
         h0.append(strand_homology_dim(strand, 0))
         positive += sum(strand_homology_dim(strand, i) for i in range(1, n + 1))
     expected_h0 = [1] + [0] * window
@@ -236,10 +235,10 @@ def run_task(task: str, modname, built: dict, job: JobSpec,
     t0 = time.monotonic()
     try:
         if task == "tor":
-            data = tor_table_data(tor_table(M, policy.tor_i_max))
+            data = tor_table_data(tor_table(M))
             status = "ok"
         elif task == "reg":
-            rep = regularity(M, policy.tor_i_max)
+            rep = regularity(M)
             data = regularity_data(rep)
             # uncertified rows are tolerable as long as their visible cells
             # stay within the regularity bound computed from certified rows

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .fimod import FIModule, generation_degrees
@@ -31,37 +32,37 @@ class TorError(ValueError):
 
 
 class StrandComplex:
-    """The degree-n Koszul strand: chain complex of S_n-representations.
+    """A chain complex of S_n-representations in homological indices lo..hi.
 
-    ``diffs[i]`` is the differential from term i to term i-1 (1 <= i <= n).
-    Only the term dimensions C(n, i) * dim M_{n-i} are stored: the
-    representation on a term is induced when :meth:`term` reads it.  The rank
-    of each differential is computed at most once.
+    ``diffs[i]`` is the differential from term i to term i-1 (lo < i <= hi).
+    Only the term dimensions are stored: ``term(i)``, a builder the strand is
+    given, makes the representation on term i when a caller reads it.  The
+    builder may hold module pieces but never a module, since a module caches
+    its strands and a reference back would make a cycle.  The rank of each
+    differential is computed at most once.
+
+    :func:`koszul_strand` builds the Koszul strand of a module (lo = 0,
+    hi = n) and ``complexes.total_strand`` the total strand of a complex.
     """
 
-    __slots__ = ("n", "field", "dims", "diffs", "_pieces", "_ranks")
+    __slots__ = ("n", "field", "lo", "hi", "dims", "diffs", "term", "_ranks")
 
-    def __init__(self, M: FIModule, n: int, dims: list, diffs: list):
+    def __init__(self, n, field, lo, hi, dims: dict, diffs: dict, term):
         self.n = n
-        self.field = M.field
+        self.field = field
+        self.lo = lo
+        self.hi = hi
         self.dims = dims
         self.diffs = diffs
-        self._pieces = M.pieces
+        self.term = term
         self._ranks = {}
 
     def term_dim(self, i):
-        return self.dims[i] if 0 <= i <= self.n else 0
-
-    def term(self, i) -> SnRep:
-        """Ind over S_i x S_{n-i} of (sign of S_i) boxtimes M_{n-i}."""
-        piece = self._pieces[self.n - i]
-        if piece.dim == 0:
-            return zero_rep(self.n, self.field)
-        return induce_young(external_tensor(basic_rep("sign", i, self.field), piece))
+        return self.dims.get(i, 0)
 
     def rank(self, i) -> int:
-        """Rank of ``diffs[i]``; zero outside 1..n."""
-        if not 1 <= i <= self.n:
+        """Rank of ``diffs[i]``; zero outside lo+1..hi."""
+        if not self.lo < i <= self.hi:
             return 0
         r = self._ranks.get(i)
         if r is None:
@@ -69,13 +70,22 @@ class StrandComplex:
         return r
 
 
-def koszul_strand(M: FIModule, n: int, check: bool = True, deep: bool = False) -> StrandComplex:
-    """Build the degree-n strand afresh; :func:`cached_strand` reuses one."""
+def _koszul_term(pieces, n, field, i) -> SnRep:
+    """Ind over S_i x S_{n-i} of (sign of S_i) boxtimes M_{n-i}."""
+    piece = pieces[n - i]
+    if piece.dim == 0:
+        return zero_rep(n, field)
+    return induce_young(external_tensor(basic_rep("sign", i, field), piece))
+
+
+def koszul_strand(M: FIModule, n: int, deep: bool = False) -> StrandComplex:
+    """Build and d^2-check the degree-n strand afresh; :func:`cached_strand`
+    reuses one."""
     if n > M.valid_through:
         raise TorError(f"strand at degree {n} needs valid window >= {n}")
     field = M.field
-    dims = [math.comb(n, i) * M.dim(n - i) for i in range(n + 1)]
-    diffs = [None]
+    dims = {i: math.comb(n, i) * M.dim(n - i) for i in range(n + 1)}
+    diffs = {}
     for i in range(1, n + 1):
         dim_m = M.dim(n - i)
         dim_m1 = M.dim(n - i + 1)
@@ -102,10 +112,10 @@ def koszul_strand(M: FIModule, n: int, check: bool = True, deep: bool = False) -
                             row[c0 + c] = field.normalize(
                                 row[c0 + c] + sign * lrow[c]
                             )
-        diffs.append(mat)
-    strand = StrandComplex(M, n, dims, diffs)
-    if check:
-        verify_strand(strand, deep=deep)
+        diffs[i] = mat
+    strand = StrandComplex(n, field, 0, n, dims, diffs,
+                           partial(_koszul_term, M.pieces, n, field))
+    verify_strand(strand, deep=deep)
     return strand
 
 
@@ -124,13 +134,13 @@ def cached_strand(M: FIModule, n: int) -> StrandComplex:
 def verify_strand(strand: StrandComplex, deep: bool = False):
     """d^2 = 0 always; ``deep`` adds the equivariance check of every
     differential (quadratic matrix work, exercised by the test suite)."""
-    for i in range(2, strand.n + 1):
+    for i in range(strand.lo + 2, strand.hi + 1):
         if not (strand.diffs[i - 1] * strand.diffs[i]).is_zero():
             raise TorError(f"d^2 != 0 at strand term {i} (sign-convention bug)")
     if not deep:
         return
-    tgt = strand.term(0)
-    for i in range(1, strand.n + 1):
+    tgt = strand.term(strand.lo)
+    for i in range(strand.lo + 1, strand.hi + 1):
         d = strand.diffs[i]
         src = strand.term(i)
         for k in range(max(strand.n - 1, 0)):
@@ -142,11 +152,11 @@ def verify_strand(strand: StrandComplex, deep: bool = False):
 def _strand_homology_sq(strand: StrandComplex, i: int) -> SubquotientSpace:
     """Cycles modulo boundaries at term i, with quotient representatives."""
     field, dim = strand.field, strand.term_dim(i)
-    if i + 1 <= strand.n:
+    if i < strand.hi:
         boundaries = column_space_basis(strand.diffs[i + 1])
     else:
         boundaries = Matrix.zeros(field, dim, 0)
-    if i >= 1:
+    if i > strand.lo:
         cycles = kernel_basis(strand.diffs[i])
     else:
         cycles = Matrix.identity(field, dim)
@@ -156,19 +166,23 @@ def _strand_homology_sq(strand: StrandComplex, i: int) -> SubquotientSpace:
 def strand_homology_dim(strand: StrandComplex, i: int) -> int:
     """dim C_i - rank d_i - rank d_{i+1}.  This counts cycles modulo
     boundaries because boundaries lie in the cycles, which is d^2 = 0."""
-    if i < 0 or i > strand.n:
+    if not strand.lo <= i <= strand.hi:
         return 0
     return strand.term_dim(i) - strand.rank(i) - strand.rank(i + 1)
 
 
-def tor_rep(M: FIModule, i: int, n: int) -> SnRep:
-    """Tor_i(M) in degree n, materialized as an honest S_n-representation."""
-    strand = cached_strand(M, n)
-    if i < 0 or i > n:
-        return zero_rep(n, M.field)
+def homology_rep(strand: StrandComplex, i: int) -> SnRep:
+    """H_i of a strand, materialized as an honest S_n-representation."""
+    if not strand.lo <= i <= strand.hi:
+        return zero_rep(strand.n, strand.field)
     sq = _strand_homology_sq(strand, i)
     gens = [sq.induced_map(g, sq) for g in strand.term(i).gens]
-    return SnRep(n, M.field, gens, dim=sq.dim)
+    return SnRep(strand.n, strand.field, gens, dim=sq.dim)
+
+
+def tor_rep(M: FIModule, i: int, n: int) -> SnRep:
+    """Tor_i(M) in degree n as an S_n-representation."""
+    return homology_rep(cached_strand(M, n), i)
 
 
 @dataclass
@@ -201,22 +215,17 @@ class TorTable:
         return range(self.i_max + 1)
 
 
-def default_i_max(M: FIModule) -> int:
-    gd = generation_degrees(M)
-    gen0 = next((n for n, d in enumerate(gd) if d > 0), None)
-    if gen0 is None:
-        return 0
-    return max(M.valid_through - gen0, 0)
-
-
 def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
     """Dimension table of Tor_i(M)_n over the certified window.
 
     Row zero is cross-checked against the generator-count oracle; a mismatch
-    is a hard internal failure.
+    is a hard internal failure.  By default the rows run up to the window
+    minus the least generator degree.
     """
+    oracle = generation_degrees(M)
     if i_max is None:
-        i_max = default_i_max(M)
+        gen0 = next((n for n, d in enumerate(oracle) if d > 0), None)
+        i_max = 0 if gen0 is None else max(M.valid_through - gen0, 0)
     if i_max < 0:
         raise TorError("i_max must be nonnegative")
     n_max = M.valid_through
@@ -227,7 +236,6 @@ def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
             d = strand_homology_dim(strand, i)
             if d:
                 entries[(i, n)] = d
-    oracle = generation_degrees(M)
     for n in range(n_max + 1):
         if entries.get((0, n), 0) != oracle[n]:
             raise TorError(
@@ -249,11 +257,10 @@ class RegularityReport:
         return not self.uncertified_rows
 
 
-def regularity(M: FIModule, i_max: int | None = None,
-               table: TorTable | None = None) -> RegularityReport:
+def regularity(M: FIModule, table: TorTable | None = None) -> RegularityReport:
     """reg = max over certified rows of t_i - i, with witnesses."""
     if table is None:
-        table = tor_table(M, i_max)
+        table = tor_table(M)
     reg = -INF
     witnesses = []
     uncertified = []

@@ -62,7 +62,8 @@ def test_induction_coxeter_deep(field, a_kind, a, b_kind, b):
     """Young induction produces a genuine representation (full Coxeter check)."""
     U = basic_rep(a_kind, a, field)
     W = basic_rep(b_kind, b, field)
-    ind = induce_young(external_tensor(U, W), check=True)
+    ind = induce_young(external_tensor(U, W))
+    ind.verify()
     assert ind.dim == math.comb(a + b, a) * U.dim * W.dim
 
 
@@ -74,9 +75,8 @@ def test_induction_character_of_trivial_blocks():
     f = QQ
     a, b = 2, 2
     ind = induce_young(
-        external_tensor(basic_rep("trivial", a, f), basic_rep("trivial", b, f)),
-        check=True,
-    )
+        external_tensor(basic_rep("trivial", a, f), basic_rep("trivial", b, f)))
+    ind.verify()
     for p in all_permutations(a + b):
         m = ind.perm_matrix(p)
         trace = sum(m.data[i][i] for i in range(m.rows))
@@ -92,9 +92,8 @@ def test_induced_sign_block_total_sign():
     # on the identity-coset line by its sign.
     f = QQ
     ind = induce_young(
-        external_tensor(basic_rep("sign", 2, f), basic_rep("sign", 2, f)),
-        check=True,
-    )
+        external_tensor(basic_rep("sign", 2, f), basic_rep("sign", 2, f)))
+    ind.verify()
     s1 = ind.perm_matrix(Permutation.adjacent(1, 4))
     s3 = ind.perm_matrix(Permutation.adjacent(3, 4))
     # identity coset is the lex-first subset (1,2): basis index 0

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_induced_morphism, random_rep
 
 import fihomlab.tor as tor
+from fihomlab.complexes import FIComplex, hyper_tor_rep, total_strand
 from fihomlab.fimod import (
+    FIMorphism,
     cokernel,
     direct_sum,
     fi_constant,
@@ -18,6 +21,7 @@ from fihomlab.fimod import (
     kernel,
 )
 from fihomlab.fields import GF, QQ
+from fihomlab.linalg import Matrix
 from fihomlab.loccoh import verify_main_theorem
 from fihomlab.reps import SnRep, basic_rep
 from fihomlab.tor import (
@@ -38,10 +42,10 @@ W = 5
 def test_strand_differentials_are_equivariant_deep(field):
     M = fi_induced(basic_rep("sign", 2, field), 4)
     for n in range(5):
-        koszul_strand(M, n, check=True, deep=True)
+        koszul_strand(M, n, deep=True)
     T = fi_torsion_concentrated(basic_rep("regular", 2, field), 2, 4)
     for n in range(5):
-        koszul_strand(T, n, check=True, deep=True)
+        koszul_strand(T, n, deep=True)
 
 
 def test_d2_guard_fires_on_a_perturbed_differential():
@@ -134,20 +138,40 @@ def _random_module(kind, field, rng, window=4):
         V = random_rep(d, field, rng, max_summands=2)
         return fi_torsion_concentrated(V, d, window)
     f = random_induced_morphism(field, rng, window)
+    if kind == "complex":
+        return FIComplex({0: f.source, 1: f.target}, {0: f})
     return (kernel if kind == "kernel" else cokernel)(f)[0]
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["constant", "torsion", "kernel", "cokernel"]),
+@given(kind=st.sampled_from(["constant", "torsion", "kernel", "cokernel", "complex"]),
        field=st.sampled_from([QQ, GF(5)]),
        seed=st.integers(0, 2**32 - 1))
 def test_rank_formula_matches_subquotient_oracle(kind, field, seed):
-    M = _random_module(kind, field, random.Random(seed))
-    for n in range(M.valid_through + 1):
-        strand = koszul_strand(M, n)
-        assert strand_homology_dim(strand, -1) == strand_homology_dim(strand, n + 1) == 0
-        for i in range(n + 1):
+    X = _random_module(kind, field, random.Random(seed))
+    for n in range(X.valid_through + 1):
+        strand = total_strand(X, n) if kind == "complex" else koszul_strand(X, n)
+        lo, hi = strand.lo, strand.hi
+        assert strand_homology_dim(strand, lo - 1) == strand_homology_dim(strand, hi + 1) == 0
+        for i in range(lo, hi + 1):
             assert strand_homology_dim(strand, i) == _strand_homology_sq(strand, i).dim
+            if kind != "complex":
+                assert hyper_tor_rep(FIComplex.single(X), i, n) == tor_rep(X, i, n)
+
+
+def test_d2_guard_fires_on_a_perturbed_total_differential(field):
+    A = fi_constant(field, 4)
+    C = FIComplex({0: A, 1: A}, {0: FIMorphism(
+        A, A, [Matrix.identity(field, 1) for _ in range(A.window + 1)])})
+    strand = total_strand(C, 3)
+    # an entry (0, j) of d_k whose column j meets a nonzero of row j of d_{k+1}
+    k, j = next((k, j) for k in range(strand.lo + 1, strand.hi)
+                for j in range(strand.diffs[k + 1].rows)
+                if strand.diffs[k].rows and any(strand.diffs[k + 1].data[j]))
+    d = strand.diffs[k]
+    d.data[0][j] = field.normalize(d.data[0][j] + field.one)
+    with pytest.raises(TorError, match="d\\^2"):
+        verify_strand(strand)
 
 
 # -- one strand per (module, degree) ----------------------------------
@@ -176,8 +200,6 @@ def test_verify_builds_each_strand_once(monkeypatch):
 
 def test_only_verified_strands_are_cached(monkeypatch):
     A = fi_constant(GF(5), 4)
-    koszul_strand(A, 3, check=False)
-    assert A.strands == {}
 
     def failing(strand, deep=False):
         raise TorError("d^2 != 0 (injected)")
@@ -188,6 +210,29 @@ def test_only_verified_strands_are_cached(monkeypatch):
     assert A.strands == {}
     monkeypatch.undo()
     assert cached_strand(A, 3) is cached_strand(A, 3) is A.strands[3]
+
+
+def _tabulate_a_fresh_module():
+    field = GF(5)
+    M = direct_sum(
+        fi_induced(basic_rep("sign", 2, field), 5),
+        fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 5),
+    )
+    tor_table(M)
+    assert sorted(M.strands) == list(range(6))
+    del M
+
+
+def test_cached_strands_make_no_reference_cycle():
+    # M.strands holds the strands, so a strand that referenced M would keep
+    # M alive until the cycle collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        _tabulate_a_fresh_module()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tor_rep_of_cached_strand_matches_fresh_build(field):
