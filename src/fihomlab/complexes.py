@@ -46,6 +46,8 @@ class FIComplex:
         self.valid_through = min(m.valid_through for m in self.terms.values())
         self.lo = min(self.terms)
         self.hi = max(self.terms)
+        # verified total strands by degree, filled by ``cached_total_strand``
+        self.strands = {}
         if check:
             self.verify()
 
@@ -153,6 +155,15 @@ def total_strand(C: FIComplex, g: int) -> StrandComplex:
     return strand
 
 
+def cached_total_strand(C: FIComplex, g: int) -> StrandComplex:
+    """The total strand of C in degree g, built and d^2-checked once per
+    complex; only strands that passed the check are kept, in ``C.strands``."""
+    strand = C.strands.get(g)
+    if strand is None:
+        strand = C.strands[g] = total_strand(C, g)
+    return strand
+
+
 def _paste(out, r0, c0, blk):
     for r, row in enumerate(blk.data):
         out.data[r0 + r][c0:c0 + blk.cols] = row
@@ -166,7 +177,7 @@ def hyper_tor(C: FIComplex, i_max: int) -> TorTable:
     entries = {}
     n_max = C.valid_through
     for g in range(n_max + 1):
-        total = total_strand(C, g)
+        total = cached_total_strand(C, g)
         for n in range(i_max + 1):
             d = strand_homology_dim(total, n)
             if d:
@@ -176,4 +187,4 @@ def hyper_tor(C: FIComplex, i_max: int) -> TorTable:
 
 def hyper_tor_rep(C: FIComplex, n: int, g: int) -> SnRep:
     """Tor_n(C) in graded degree g as an S_g-representation."""
-    return homology_rep(total_strand(C, g), n)
+    return homology_rep(cached_total_strand(C, g), n)

@@ -49,7 +49,7 @@ class WindowExhausted(FIError):
 
 class FIModule:
     __slots__ = ("field", "window", "pieces", "steps", "valid_through", "torsion_hint",
-                 "strands")
+                 "strands", "generators")
 
     def __init__(self, field, window, pieces, steps, valid_through=None,
                  torsion_hint=False, check=True):
@@ -59,9 +59,12 @@ class FIModule:
         self.steps = tuple(steps)
         self.valid_through = window if valid_through is None else valid_through
         self.torsion_hint = torsion_hint
-        # verified Koszul strands by degree, filled by ``tor.cached_strand``;
-        # the data above is never mutated, so they stay valid for the module's life
+        # verified Koszul strands by degree, filled by ``tor.cached_strand``,
+        # and the generator counts of ``generation_degrees``, filled by
+        # ``tor.tor_table``; the data above is never mutated, so both stay
+        # valid for the module's life
         self.strands = {}
+        self.generators = None
         if len(self.pieces) != window + 1 or len(self.steps) != window:
             raise FIError("window/pieces/steps length mismatch")
         if self.valid_through > window:

@@ -6,6 +6,12 @@ certified answer, 3 invalid input.  Task results are cached by a content
 hash of (package version, field, window, policy, construction), so entries
 written by another version are misses; set ``FIHOMLAB_CACHE_DIR``
 to choose the cache location.  A corrupt entry counts as a miss.
+
+A job whose tasks all hit is answered from the cache without building its
+objects, provided its build is on record: one more entry, keyed by the
+construction of every object of the job, that is written only after
+:func:`build_objects` succeeded.  Otherwise the job is built eagerly, so a
+build failure is reported the same whatever the cache holds.
 """
 from __future__ import annotations
 
@@ -295,17 +301,28 @@ def _closure_key(job: JobSpec, name) -> list:
             [[str(x) for x in row] for row in entries]]
 
 
-def task_cache_key(job: JobSpec, task: str, modname) -> str:
+def _cache_key(job: JobSpec, task: str, construction) -> str:
     payload = {
         "version": __version__,
         "field": job.field.name,
         "window": job.window,
         "policy": dict(sorted(job.policy.items())),
         "task": task,
-        "construction": _closure_key(job, modname) if modname else None,
+        "construction": construction,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def task_cache_key(job: JobSpec, task: str, modname) -> str:
+    return _cache_key(job, task, _closure_key(job, modname) if modname else None)
+
+
+def _build_key(job: JobSpec) -> str:
+    """Key of the record that every object of the job was built: the
+    construction of each rep, module and morphism in definition order."""
+    names = [*job.reps, *job.order]
+    return _cache_key(job, "build", [_closure_key(job, n) for n in names])
 
 
 def cache_dir() -> Path:
@@ -348,20 +365,33 @@ def _write_cache_entry(cpath: Path, entry: dict):
 def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
     policy = policy_from_job(job)
     t0 = time.monotonic()
-    try:
-        built = build_objects(job)
-    except WindowExhausted as exc:
-        res = TaskResult("build", None, "window", {"error": str(exc)}, 0.0)
-        return RunResult(job, [res], time.monotonic() - t0)
-    except (BuildError, FIError) as exc:
-        res = TaskResult("build", None, "invalid", {"error": str(exc)}, 0.0)
-        return RunResult(job, [res], time.monotonic() - t0)
     cdir = cache_dir()
+    paths = [cdir / f"{task_cache_key(job, task, modname)}.json"
+             for task, modname in job.tasks]
+    hits = {}
+    if use_cache:
+        for cpath in paths:
+            entry = _read_cache_entry(cpath)
+            if entry is not None:
+                hits[cpath] = entry
+    build_record = cdir / f"{_build_key(job)}.json"
+    if (use_cache and all(cpath in hits for cpath in paths)
+            and _read_cache_entry(build_record) is not None):
+        built = None  # every task is answered from the cache
+    else:
+        try:
+            built = build_objects(job)
+        except WindowExhausted as exc:
+            res = TaskResult("build", None, "window", {"error": str(exc)}, 0.0)
+            return RunResult(job, [res], time.monotonic() - t0)
+        except (BuildError, FIError) as exc:
+            res = TaskResult("build", None, "invalid", {"error": str(exc)}, 0.0)
+            return RunResult(job, [res], time.monotonic() - t0)
+        if use_cache:
+            _write_cache_entry(build_record, {"status": "ok", "data": {}})
     results = []
-    for task, modname in job.tasks:
-        key = task_cache_key(job, task, modname)
-        cpath = cdir / f"{key}.json"
-        cached = _read_cache_entry(cpath) if use_cache else None
+    for (task, modname), cpath in zip(job.tasks, paths):
+        cached = hits.get(cpath)
         if cached is not None:
             results.append(TaskResult(task, modname, *cached, 0.0, cached=True))
             continue
@@ -369,4 +399,5 @@ def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
         results.append(res)
         if use_cache and res.status in CACHED_STATUSES:
             _write_cache_entry(cpath, {"status": res.status, "data": res.data})
+            hits[cpath] = res.status, res.data
     return RunResult(job, results, time.monotonic() - t0)

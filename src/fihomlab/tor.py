@@ -218,11 +218,14 @@ class TorTable:
 def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
     """Dimension table of Tor_i(M)_n over the certified window.
 
-    Row zero is cross-checked against the generator-count oracle; a mismatch
-    is a hard internal failure.  By default the rows run up to the window
-    minus the least generator degree.
+    Row zero is cross-checked on every call against the generator-count
+    oracle, which runs once per module; a mismatch is a hard internal
+    failure.  By default the rows run up to the window minus the least
+    generator degree.
     """
-    oracle = generation_degrees(M)
+    oracle = M.generators
+    if oracle is None:
+        oracle = M.generators = generation_degrees(M)
     if i_max is None:
         gen0 = next((n for n, d in enumerate(oracle) if d > 0), None)
         i_max = 0 if gen0 is None else max(M.valid_through - gen0, 0)

@@ -141,3 +141,128 @@ def test_cache_key_depends_on_the_package_version(monkeypatch):
     assert runner.task_cache_key(job, "tor", "A") == key
     monkeypatch.setattr(runner, "__version__", runner.__version__ + ".post1")
     assert runner.task_cache_key(job, "tor", "A") != key
+
+
+# -- answering a fully cached job without building it -------------------
+
+# objects that no task names and that cannot be built, with the status of
+# the build failure they cause
+UNBUILDABLE = [
+    ("rep r2 regular 2\nmorphism bad induced r2 A 1,0\n", "invalid", 3),
+    ("rep v3 trivial 3\nmodule Tbad torsion v3 7\n", "window", 2),
+]
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    from fihomlab import runner
+
+    builds = []
+    build = runner.build_objects
+
+    def counting(job):
+        builds.append(job)
+        return build(job)
+
+    monkeypatch.setattr(runner, "build_objects", counting)
+    return builds
+
+
+def test_fully_cached_job_is_answered_without_a_build(demo_job, count_builds):
+    from fihomlab.jobspec import parse_spec
+    from fihomlab.runner import run_job
+
+    job = parse_spec(demo_job.read_text())
+    cold = run_job(job)
+    assert len(count_builds) == 1
+    warm = run_job(job)
+    assert len(count_builds) == 1
+    assert all(r.cached for r in warm.results)
+    assert warm.report_dict() == cold.report_dict()
+    assert warm.report_text() == cold.report_text()
+    assert warm.exit_code == cold.exit_code == 0
+    # a task repeated within one job is answered by its first run
+    again = run_job(parse_spec(DEMO + "task tor A\ntask tor A\n"))
+    assert [r.cached for r in again.results[-2:]] == [False, True]
+
+
+@pytest.mark.parametrize("extra, status, code", UNBUILDABLE,
+                         ids=[status for _, status, _ in UNBUILDABLE])
+def test_unbuildable_object_fails_the_same_whatever_the_cache_holds(
+        demo_job, tmp_path, monkeypatch, count_builds, extra, status, code):
+    from fihomlab.jobspec import parse_spec
+    from fihomlab.runner import cache_dir, run_job
+
+    bad = parse_spec(DEMO + extra)
+    monkeypatch.setenv("FIHOMLAB_CACHE_DIR", str(tmp_path / "empty"))
+    expected = run_job(bad)
+    assert [(r.task, r.status) for r in expected.results] == [("build", status)]
+    assert expected.exit_code == code
+    assert not (tmp_path / "empty").exists()   # a failed build is not recorded
+
+    monkeypatch.setenv("FIHOMLAB_CACHE_DIR", str(tmp_path / "cache"))
+    assert run_job(parse_spec(DEMO)).exit_code == 0   # fills the task entries
+    filled = sorted(cache_dir().iterdir())
+    for _ in range(2):
+        got = run_job(bad)
+        assert got.report_dict() == expected.report_dict()
+        assert got.report_text() == expected.report_text()
+        assert got.exit_code == code
+    assert sorted(cache_dir().iterdir()) == filled
+    bad_path = tmp_path / "bad.job"
+    bad_path.write_text(DEMO + extra)
+    assert main(["run", str(bad_path)]) == code
+
+
+@pytest.mark.parametrize("damage", ["truncate", "delete"])
+def test_damaged_build_record_is_a_miss(demo_job, count_builds, damage):
+    from fihomlab.jobspec import parse_spec
+    from fihomlab.runner import _build_key, cache_dir, run_job
+
+    job = parse_spec(demo_job.read_text())
+    cold = run_job(job)
+    record = cache_dir() / f"{_build_key(job)}.json"
+    text = record.read_text()
+    if damage == "truncate":
+        record.write_text(text[:len(text) // 2])
+    else:
+        record.unlink()
+    rerun = run_job(job)
+    assert len(count_builds) == 2
+    assert all(r.cached for r in rerun.results)
+    assert rerun.report_dict() == cold.report_dict()
+    assert record.read_text() == text   # rewritten after the rebuild
+    assert not list(cache_dir().glob("*.tmp"))
+    run_job(job)
+    assert len(count_builds) == 2
+
+
+def test_no_cache_builds_and_writes_nothing(demo_job, tmp_path, count_builds):
+    from fihomlab.runner import cache_dir
+
+    for k in range(2):
+        assert main(["run", str(demo_job), "--out", str(tmp_path / f"o{k}"),
+                     "--no-cache"]) == 0
+    assert len(count_builds) == 2
+    assert not cache_dir().exists()
+
+
+def test_build_key_covers_version_and_every_object(monkeypatch):
+    from fihomlab import runner
+    from fihomlab.jobspec import parse_spec
+
+    key = runner._build_key(parse_spec(DEMO))
+    assert runner._build_key(parse_spec(DEMO)) == key
+    # every task names the same construction, but one object differs
+    variants = [
+        DEMO.replace("module T torsion v2 2", "module T torsion v2 3"),
+        DEMO.replace("morphism f induced v1 A 1", "morphism f induced v1 A 2"),
+        DEMO + "rep r2 regular 2\nmorphism bad induced r2 A 1,0\n",
+        DEMO + "rep spare sign 3\n",
+    ]
+    for text in variants:
+        assert runner._build_key(parse_spec(text)) != key
+    assert (runner.task_cache_key(parse_spec(variants[2]), "verify", "T")
+            == runner.task_cache_key(parse_spec(DEMO), "verify", "T"))
+    monkeypatch.setattr(runner, "__version__", runner.__version__ + ".post1")
+    assert runner._build_key(parse_spec(DEMO)) != key

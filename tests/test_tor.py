@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_induced_morphism, random_rep
 
+import fihomlab.complexes as complexes
 import fihomlab.tor as tor
-from fihomlab.complexes import FIComplex, hyper_tor_rep, total_strand
+from fihomlab.complexes import FIComplex, hyper_tor, hyper_tor_rep, total_strand
 from fihomlab.fimod import (
     FIMorphism,
     cokernel,
@@ -21,8 +22,9 @@ from fihomlab.fimod import (
     kernel,
 )
 from fihomlab.fields import GF, QQ
+from fihomlab.good_ideal import good_ideal
 from fihomlab.linalg import Matrix
-from fihomlab.loccoh import verify_main_theorem
+from fihomlab.loccoh import nu_certificate, verify_main_theorem
 from fihomlab.reps import SnRep, basic_rep
 from fihomlab.tor import (
     TorError,
@@ -198,6 +200,45 @@ def test_verify_builds_each_strand_once(monkeypatch):
     assert sorted(mix.strands) == list(range(mix.valid_through + 1))
 
 
+def test_verify_runs_the_generator_oracle_once_per_module(monkeypatch):
+    field = GF(5)
+    mix = direct_sum(
+        fi_induced(basic_rep("sign", 2, field), 7),
+        fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 7),
+    )
+    calls = Counter()
+    seen = []  # keeps every module alive, so that ids stay distinct
+    oracle = tor.generation_degrees
+
+    def counting(M):
+        seen.append(M)
+        calls[id(M)] += 1
+        return oracle(M)
+
+    monkeypatch.setattr(tor, "generation_degrees", counting)
+    assert verify_main_theorem(mix).verdict == "PASS"
+    assert calls[id(mix)] == 1 and max(calls.values()) == 1
+    assert mix.generators == oracle(mix)
+
+
+def test_total_strands_are_built_once_per_complex_and_degree(monkeypatch):
+    field = GF(5)
+    T = fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 6)
+    C = FIComplex.single(T)
+    builds = Counter()
+    build = complexes.total_strand
+
+    def counting(X, g):
+        builds[(id(X), g)] += 1
+        return build(X, g)
+
+    monkeypatch.setattr(complexes, "total_strand", counting)
+    certs = nu_certificate(C, good_ideal(2, field))
+    assert any(c.status == "ok" for c in certs)
+    assert builds and max(builds.values()) == 1
+    assert sorted(C.strands) == list(range(C.valid_through + 1))
+
+
 def test_only_verified_strands_are_cached(monkeypatch):
     A = fi_constant(GF(5), 4)
 
@@ -223,13 +264,26 @@ def _tabulate_a_fresh_module():
     del M
 
 
+def _tabulate_a_fresh_complex():
+    field = GF(5)
+    A = fi_constant(field, 4)
+    C = FIComplex({0: A, 1: A}, {0: FIMorphism(
+        A, A, [Matrix.identity(field, 1) for _ in range(A.window + 1)])})
+    hyper_tor(C, 2)
+    hyper_tor_rep(C, 0, 3)
+    assert sorted(C.strands) == list(range(5))
+    del C, A
+
+
 def test_cached_strands_make_no_reference_cycle():
-    # M.strands holds the strands, so a strand that referenced M would keep
-    # M alive until the cycle collector ran
+    # M.strands and C.strands hold the strands, so a strand that referenced
+    # its module or complex would keep it alive until the cycle collector ran
     gc.collect()
     gc.disable()
     try:
         _tabulate_a_fresh_module()
+        assert gc.collect() == 0
+        _tabulate_a_fresh_complex()
         assert gc.collect() == 0
     finally:
         gc.enable()
