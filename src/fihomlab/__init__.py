@@ -40,6 +40,7 @@ from .fimod import (
     FIModule,
     FIMorphism,
     FIError,
+    InputError,
     WindowExhausted,
     cokernel,
     direct_sum,

@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 everything verified, 1 a verification failed, 2 the window was
-insufficient for a certified answer, 3 invalid input.
+insufficient for a certified answer, 3 invalid input, 4 an internal failure
+(a bug, never the input's fault); of several, the first of 4, 3, 1, 2 wins.
 """
 from __future__ import annotations
 
@@ -100,9 +101,11 @@ def _apply_overrides(job: JobSpec, args) -> JobSpec:
 
 def _load_job(args) -> JobSpec:
     path = Path(args.spec)
-    if not path.exists():
-        raise SpecParseError([(0, f"no such job file: {path}")])
-    job = parse_spec(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecParseError([(0, f"cannot read job file {path}: {exc}")]) from None
+    job = parse_spec(text)
     return _apply_overrides(job, args)
 
 

@@ -47,6 +47,11 @@ class WindowExhausted(FIError):
     """An operation needed more certified degrees than the window provides."""
 
 
+class InputError(FIError):
+    """A caller's own data is invalid: a seed matrix of the wrong shape or
+    not equivariant, a torsion degree unlike the rep's, a negative shift."""
+
+
 class FIModule:
     __slots__ = ("field", "window", "pieces", "steps", "valid_through", "torsion_hint",
                  "strands", "generators")
@@ -197,7 +202,7 @@ def fi_constant(field, window) -> FIModule:
 
 def fi_torsion_concentrated(V: SnRep, d: int, window: int) -> FIModule:
     if V.n != d:
-        raise FIError("representation degree must equal the concentration degree")
+        raise InputError("representation degree must equal the concentration degree")
     if d > window:
         return zero_module(V.field, window)
     field = V.field
@@ -227,7 +232,7 @@ def direct_sum(M: FIModule, N: FIModule) -> FIModule:
 def fi_shift(M: FIModule, a: int) -> FIModule:
     """Shift: evaluate on the disjoint union with ``a`` extra letters (the last ones)."""
     if a < 0:
-        raise FIError("negative shift")
+        raise InputError("negative shift")
     if a > M.valid_through:
         raise WindowExhausted(f"shift by {a} exceeds valid window {M.valid_through}")
     if a == 0:
@@ -368,10 +373,10 @@ def induced_morphism(V: SnRep, target: FIModule, f0: Matrix) -> FIMorphism:
     d = V.n
     field = V.field
     if (f0.rows, f0.cols) != (target.dim(d), V.dim):
-        raise FIError("f0 has the wrong shape")
+        raise InputError("f0 has the wrong shape")
     for i in range(1, d):
         if f0 * V.gens[i - 1] != target.pieces[d].gens[i - 1] * f0:
-            raise FIError(f"f0 is not equivariant (fails at s_{i})")
+            raise InputError(f"f0 is not equivariant (fails at s_{i})")
     source = fi_induced(V, target.window)
     maps = []
     for n in range(target.window + 1):

@@ -112,6 +112,8 @@ def parse_spec(text: str) -> JobSpec:
                     policy[key] = True
                 elif key in ("imax", "lcoh-imax", "nu-p"):
                     policy[key] = int(parts[2])
+                    if key != "nu-p" and policy[key] < 0:
+                        errors.append((ln, f"{key} must be nonnegative"))
                 else:
                     errors.append((ln, f"unknown policy knob {key!r}"))
             elif head == "rep":
@@ -185,6 +187,9 @@ def parse_spec(text: str) -> JobSpec:
                     tuple(Fraction(x) for x in row.split(",") if x != "")
                     for row in entries.split(";")
                 )
+                if len({len(row) for row in rows}) > 1:
+                    errors.append((ln, f"seed rows of {entries!r} differ in length"))
+                    continue
                 morphisms[name] = ("induced", rep, target, rows)
                 order.append(name)
             elif head == "task":
@@ -200,7 +205,7 @@ def parse_spec(text: str) -> JobSpec:
                     errors.append((ln, f"unknown task {task!r}"))
             else:
                 errors.append((ln, f"unknown statement {head!r}"))
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, ZeroDivisionError) as exc:
             errors.append((ln, f"malformed statement: {exc}"))
 
     if fieldv is None:
@@ -219,6 +224,13 @@ def parse_spec(text: str) -> JobSpec:
                     (0, f"{p} not invertible in {fieldv.name}: the block size must be "
                         f"invertible (for p=3 the generator needs the scalar 2/3)")
                 )
+        for name, (*_, rows) in morphisms.items():
+            try:
+                for row in rows:
+                    for x in row:
+                        fieldv.of(x)
+            except ZeroDivisionError as exc:
+                errors.append((0, f"morphism {name!r}: an entry is not in {fieldv.name}: {exc}"))
     if errors:
         raise SpecParseError(errors)
     return JobSpec(fieldv, window, reps, modules, morphisms, tasks, policy, order)

@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .complexes import FIComplex, hyper_tor, hyper_tor_rep
+from .complexes import FIComplex, complex_cohomology, hyper_tor, hyper_tor_rep
 from .fimod import (
     FIModule,
+    InputError,
     WindowExhausted,
     cokernel,
     fi_shift,
+    kernel,
     maxdeg,
     natural_shift_map,
     torsion_submodule,
 )
 from .good_ideal import GoodIdeal, good_ideal, nu
+from .linalg import InvariantViolation
 from .tor import TorTable, regularity, tor_rep, tor_table
 
 INF = math.inf
@@ -138,13 +142,11 @@ def local_cohomology(M: FIModule, policy: Policy | None = None) -> LocCohTable:
             break
         nat = natural_shift_map(cur, b)
         # consistency: the kernel of the canonical map is the torsion submodule
-        from .fimod import kernel as fi_kernel
-
-        ker_mod, _ = fi_kernel(nat)
+        ker_mod, _ = kernel(nat)
         k_dims = ker_mod.dims()
         t_dims = tp.module.dims()[: len(k_dims)]
         if k_dims != t_dims:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"recursion level {level}: ker(M -> shift) {k_dims} != torsion {t_dims}"
             )
         coker_mod, _ = cokernel(nat)
@@ -235,17 +237,10 @@ def verify_main_theorem(M: FIModule, policy: Policy | None = None,
         r = lcoh.min_row_attaining()
         rho = int(mh)
         for n in stable_checked:
-            deg = n + rho
-            if deg > M.valid_through:
-                certs.append(NuCertificate(n, deg, n + r, None, "window"))
-                continue
-            if (gi.p - 1) * rho > n:
-                certs.append(NuCertificate(n, deg, n + r, None, "out-of-range"))
-                continue
-            rep = tor_rep(M, n, deg)
-            got = nu(rep, gi).value
-            status = "ok" if got == n + r else "mismatch"
-            certs.append(NuCertificate(n, deg, n + r, got, status))
+            if n + rho > M.valid_through:
+                certs.append(NuCertificate(n, n + rho, n + r, None, "window"))
+            else:
+                certs.append(_nu_cert(partial(tor_rep, M), n, rho, n + r, gi))
 
     uncertified = reg_report.uncertified_rows
     # uncertified Tor rows can only raise reg, so lhs < rhs is not yet a FAIL
@@ -263,6 +258,19 @@ def verify_main_theorem(M: FIModule, policy: Policy | None = None,
     )
 
 
+def _nu_cert(rep_of, n: int, rho: int, expected, gi: GoodIdeal) -> NuCertificate:
+    """Certificate for the Tor piece in homological degree n and degree
+    n + rho: out of range when (p - 1) rho > n, otherwise nu of
+    ``rep_of(n, n + rho)`` against ``expected``.  A getter that returns None
+    marks a piece known to vanish, which is a mismatch."""
+    deg = n + rho
+    if (gi.p - 1) * rho > n:
+        return NuCertificate(n, deg, expected, None, "out-of-range")
+    rep = rep_of(n, deg)
+    got = None if rep is None else nu(rep, gi).value
+    return NuCertificate(n, deg, expected, got, "ok" if got == expected else "mismatch")
+
+
 def nu_certificate(X, gi: GoodIdeal, policy: Policy | None = None) -> list:
     """Certificates for the nu values of top-degree Tor pieces.
 
@@ -271,56 +279,39 @@ def nu_certificate(X, gi: GoodIdeal, policy: Policy | None = None) -> list:
     the least index attaining max_i(i + maxdeg H^i); every nonzero graded
     piece also satisfies the lower bound n + min support index).
     """
-    policy = policy or Policy()
-    certs = []
     if isinstance(X, FIModule):
         if not X.torsion_hint:
             tp = torsion_submodule(X)
             if tp.module.dims() != X.dims():
-                raise ValueError("nu_certificate on a module requires a torsion module")
+                raise InputError("nu_certificate on a module requires a torsion module")
         md = maxdeg(X)
         if md.value == -INF:
-            return certs
+            return []
         rho = int(md.value)
-        for n in range(0, X.valid_through - rho + 1):
-            deg = n + rho
-            if (gi.p - 1) * rho > n:
-                certs.append(NuCertificate(n, deg, n, None, "out-of-range"))
-                continue
-            rep = tor_rep(X, n, deg)
-            got = nu(rep, gi).value
-            certs.append(
-                NuCertificate(n, deg, n, got, "ok" if got == n else "mismatch")
-            )
-        return certs
+        return [_nu_cert(partial(tor_rep, X), n, rho, n, gi)
+                for n in range(0, X.valid_through - rho + 1)]
     # complex case
     C: FIComplex = X
-    from .complexes import complex_cohomology
-
     coh = complex_cohomology(C)
     vals = {i: maxdeg(h).value for i, h in coh.items()}
     finite = {i: v for i, v in vals.items() if v != -INF}
     if not finite:
-        return certs
-    rho = max(i + v for i, v in finite.items())
+        return []
+    rho = int(max(i + v for i, v in finite.items()))
     r = min(i for i, v in finite.items() if i + v == rho)
     m = C.min_support()
-    i_cap = max(C.valid_through - int(rho), 0)
+    i_cap = max(C.valid_through - rho, 0)
     table = hyper_tor(C, i_cap)
+
+    def rep_of(n, deg):
+        return hyper_tor_rep(C, n, deg) if table.dim(n, deg) else None
+
+    certs = []
     for n in range(0, i_cap + 1):
-        deg = n + int(rho)
-        if deg > C.valid_through:
+        if n + rho > C.valid_through:
             continue
-        if (gi.p - 1) * rho > n:
-            certs.append(NuCertificate(n, deg, n + r, None, "out-of-range"))
-            continue
-        if table.dim(n, deg) == 0:
-            certs.append(NuCertificate(n, deg, n + r, None, "mismatch"))
-            continue
-        rep = hyper_tor_rep(C, n, deg)
-        got = nu(rep, gi).value
-        status = "ok" if got == n + r else "mismatch"
-        if status == "ok" and m is not None and not got >= n + m:
-            status = "mismatch"
-        certs.append(NuCertificate(n, deg, n + r, got, status))
+        cert = _nu_cert(rep_of, n, rho, n + r, gi)
+        if cert.status == "ok" and m is not None and not cert.computed >= n + m:
+            cert.status = "mismatch"
+        certs.append(cert)
     return certs

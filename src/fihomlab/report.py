@@ -101,13 +101,7 @@ def theorem_data(report) -> dict:
 
 
 def _fmt(v):
-    if v is None:
-        return "?"
-    if v == "inf":
-        return "inf"
-    if v == "-inf":
-        return "-inf"
-    return str(v)
+    return "?" if v is None else str(v)
 
 
 def render_tor_text(data: dict, title="tor") -> str:
@@ -171,7 +165,9 @@ def render_verify_text(data: dict) -> str:
 
 def render_task_text(task: str, module, data: dict) -> str:
     head = f"== task {task}" + (f" {module}" if module else "") + " =="
-    if task == "tor":
+    if "error" in data:  # a failed build or task, whatever the task
+        body = f"error: {data['error']}"
+    elif task == "tor":
         body = render_tor_text(data)
     elif task == "reg":
         body = (
@@ -190,14 +186,12 @@ def render_task_text(task: str, module, data: dict) -> str:
             + ("exact in positive degrees, H_0 as expected"
                if data["ok"] else "FAILED")
         )
-    elif task == "good-ideal-check":
+    else:  # good-ideal-check
         parts = []
         for p, checks in sorted(data["checks"].items()):
             flag = "pass" if checks["all_pass"] else "FAIL"
             parts.append(f"  p={p}: {flag} ({', '.join(k for k in sorted(checks) if k != 'all_pass')})")
         body = "good ideal axioms:\n" + "\n".join(parts)
-    else:
-        body = json.dumps(data, sort_keys=True)
     return head + "\n" + body
 
 

@@ -2,7 +2,9 @@
 
 Exit-code convention (shared with the command line driver): 0 everything
 verified, 1 a verification failed, 2 the window was insufficient for a
-certified answer, 3 invalid input.  Task results are cached by a content
+certified answer, 3 invalid input, 4 an internal failure (a broken
+invariant or oracle: a bug, never the input's fault); see
+:func:`failure_status`.  Task results are cached by a content
 hash of (package version, field, window, policy, construction), so entries
 written by another version are misses; set ``FIHOMLAB_CACHE_DIR``
 to choose the cache location.  A corrupt entry counts as a miss.
@@ -10,8 +12,9 @@ to choose the cache location.  A corrupt entry counts as a miss.
 A job whose tasks all hit is answered from the cache without building its
 objects, provided its build is on record: one more entry, keyed by the
 construction of every object of the job, that is written only after
-:func:`build_objects` succeeded.  Otherwise the job is built eagerly, so a
-build failure is reported the same whatever the cache holds.
+:func:`build_objects` succeeded and every task gave a cacheable result.
+Otherwise the job is built eagerly, so a build failure is reported the same
+whatever the cache holds.
 """
 from __future__ import annotations
 
@@ -22,13 +25,14 @@ import math
 import os
 import tempfile
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
 from ._version import __version__
 from .fimod import (
-    FIError,
     FIModule,
+    InputError,
     WindowExhausted,
     cokernel,
     direct_sum,
@@ -54,7 +58,7 @@ from .report import (
     tor_table_data,
 )
 from .reps import basic_rep
-from .tor import TorError, koszul_strand, regularity, strand_homology_dim, tor_table
+from .tor import koszul_strand, regularity, strand_homology_dim, tor_table
 
 INF = math.inf
 
@@ -62,20 +66,21 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_WINDOW_INSUFFICIENT = 2
 EXIT_INVALID_INPUT = 3
+EXIT_INTERNAL = 4
+# a job exits with the code of its gravest task, in this order of gravity
+GRAVITY = (EXIT_OK, EXIT_WINDOW_INSUFFICIENT, EXIT_VERIFICATION_FAILURE,
+           EXIT_INVALID_INPUT, EXIT_INTERNAL)
 
-# statuses whose results are cached; "invalid" is recomputed every time
+# statuses whose results are cached; "invalid" and "internal" are
+# recomputed every time
 CACHED_STATUSES = ("ok", "fail", "window")
-
-
-class BuildError(ValueError):
-    """Invalid object construction in a job (user input error)."""
 
 
 @dataclass
 class TaskResult:
     task: str
     module: str | None
-    status: str          # ok | fail | window | invalid
+    status: str          # ok | fail | window | invalid | internal
     data: dict
     seconds: float
     cached: bool = False
@@ -84,7 +89,8 @@ class TaskResult:
     def exit_code(self):
         return {"ok": EXIT_OK, "fail": EXIT_VERIFICATION_FAILURE,
                 "window": EXIT_WINDOW_INSUFFICIENT,
-                "invalid": EXIT_INVALID_INPUT}[self.status]
+                "invalid": EXIT_INVALID_INPUT,
+                "internal": EXIT_INTERNAL}[self.status]
 
 
 @dataclass
@@ -95,12 +101,8 @@ class RunResult:
 
     @property
     def exit_code(self):
-        codes = [r.exit_code for r in self.results]
-        for code in (EXIT_INVALID_INPUT, EXIT_VERIFICATION_FAILURE,
-                     EXIT_WINDOW_INSUFFICIENT):
-            if code in codes:
-                return code
-        return EXIT_OK
+        return max((r.exit_code for r in self.results), key=GRAVITY.index,
+                   default=EXIT_OK)
 
     def report_dict(self) -> dict:
         return {
@@ -188,59 +190,57 @@ def build_objects(job: JobSpec) -> dict:
                     ncols=built[repname].dim,
                 )
                 built[name] = induced_morphism(built[repname], built[target], f0)
-        except WindowExhausted as exc:
-            raise
-        except FIError as exc:
-            raise BuildError(f"building {name!r}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"building {name!r}: {exc}") from exc
     return built
+
+
+def failure_status(exc: Exception) -> tuple[str, dict]:
+    """Status and error payload of a build or task that raised ``exc``.
+
+    Only :class:`WindowExhausted` is ``window`` and only :class:`InputError`,
+    raised by the checks on a caller's own data, is ``invalid``.  Anything
+    else is ``internal``, a bug: its traceback goes to standard error, its
+    payload names the exception type, and it is never cached.
+    """
+    if isinstance(exc, WindowExhausted):
+        return "window", {"error": str(exc)}
+    if isinstance(exc, InputError):
+        return "invalid", {"error": str(exc)}
+    traceback.print_exception(exc)
+    return "internal", {"error": f"{type(exc).__name__}: {exc}"}
 
 
 # -- task execution ----------------------------------------------------
 
 
-def _run_koszul_check(field, window) -> TaskResult:
-    t0 = time.monotonic()
-    A = fi_constant(field, window)
-    h0 = []
-    positive = 0
-    for n in range(window + 1):
-        strand = koszul_strand(A, n, deep=True)
-        h0.append(strand_homology_dim(strand, 0))
-        positive += sum(strand_homology_dim(strand, i) for i in range(1, n + 1))
-    expected_h0 = [1] + [0] * window
-    ok = h0 == expected_h0 and positive == 0
-    data = {"window": window, "ok": ok, "h0": h0,
-            "positive_homology_total": positive}
-    return TaskResult("koszul-check", None, "ok" if ok else "fail", data,
-                      time.monotonic() - t0)
-
-
-def _run_good_ideal_check(field) -> TaskResult:
-    t0 = time.monotonic()
-    checks = {}
-    ok = True
-    for p in (2, 3):
-        if field.characteristic == p:
-            continue
-        rep = verify_good_ideal(good_ideal(p, field))
-        checks[str(p)] = {k: bool(v) for k, v in rep.items()}
-        ok = ok and rep["all_pass"]
-    data = {"field": field.name, "checks": checks}
-    return TaskResult("good-ideal-check", None, "ok" if ok else "fail", data,
-                      time.monotonic() - t0)
-
-
 def run_task(task: str, modname, built: dict, job: JobSpec,
              policy: Policy) -> TaskResult:
     field = job.field
-    if task == "koszul-check":
-        return _run_koszul_check(field, job.window)
-    if task == "good-ideal-check":
-        return _run_good_ideal_check(field)
-    M: FIModule = built[modname]
+    M: FIModule | None = built[modname] if modname else None
     t0 = time.monotonic()
     try:
-        if task == "tor":
+        if task == "koszul-check":
+            A, window = fi_constant(field, job.window), job.window
+            h0 = []
+            positive = 0
+            for n in range(window + 1):
+                strand = koszul_strand(A, n, deep=True)
+                h0.append(strand_homology_dim(strand, 0))
+                positive += sum(strand_homology_dim(strand, i) for i in range(1, n + 1))
+            ok = h0 == [1] + [0] * window and positive == 0
+            data = {"window": window, "ok": ok, "h0": h0,
+                    "positive_homology_total": positive}
+            status = "ok" if ok else "fail"
+        elif task == "good-ideal-check":
+            checks = {}
+            for p in (2, 3):
+                if field.characteristic != p:
+                    rep = verify_good_ideal(good_ideal(p, field))
+                    checks[str(p)] = {k: bool(v) for k, v in rep.items()}
+            data = {"field": field.name, "checks": checks}
+            status = "ok" if all(c["all_pass"] for c in checks.values()) else "fail"
+        elif task == "tor":
             data = tor_table_data(tor_table(M))
             status = "ok"
         elif task == "reg":
@@ -263,23 +263,14 @@ def run_task(task: str, modname, built: dict, job: JobSpec,
             certs = nu_certificate(M, gi, policy)
             data = {"certificates": nu_certs_data(certs)}
             status = "ok" if all(c.passed for c in certs) else "fail"
-        elif task == "verify":
+        else:  # verify; parse_spec admits no other task
             rep = verify_main_theorem(M, policy)
             data = theorem_data(rep)
             status = {"PASS": "ok", "FAIL": "fail", "UNCERTIFIED": "window"}[rep.verdict]
             if status == "window" and policy.assume_window_sufficient:
                 status = "ok" if rep.lhs == rep.rhs else "fail"
-        else:
-            raise BuildError(f"unknown task {task!r}")
-    except WindowExhausted as exc:
-        data = {"error": str(exc)}
-        status = "window"
-    except TorError:
-        # internal consistency failure (oracle mismatch); never downgrade
-        raise
-    except (BuildError, ValueError) as exc:
-        data = {"error": str(exc)}
-        status = "invalid"
+    except Exception as exc:
+        status, data = failure_status(exc)
     return TaskResult(task, modname, status, data, time.monotonic() - t0)
 
 
@@ -375,20 +366,14 @@ def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
             if entry is not None:
                 hits[cpath] = entry
     build_record = cdir / f"{_build_key(job)}.json"
-    if (use_cache and all(cpath in hits for cpath in paths)
+    built = None  # stays None when every task is answered from the cache
+    if not (use_cache and all(cpath in hits for cpath in paths)
             and _read_cache_entry(build_record) is not None):
-        built = None  # every task is answered from the cache
-    else:
         try:
             built = build_objects(job)
-        except WindowExhausted as exc:
-            res = TaskResult("build", None, "window", {"error": str(exc)}, 0.0)
+        except Exception as exc:
+            res = TaskResult("build", None, *failure_status(exc), 0.0)
             return RunResult(job, [res], time.monotonic() - t0)
-        except (BuildError, FIError) as exc:
-            res = TaskResult("build", None, "invalid", {"error": str(exc)}, 0.0)
-            return RunResult(job, [res], time.monotonic() - t0)
-        if use_cache:
-            _write_cache_entry(build_record, {"status": "ok", "data": {}})
     results = []
     for (task, modname), cpath in zip(job.tasks, paths):
         cached = hits.get(cpath)
@@ -400,4 +385,8 @@ def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
         if use_cache and res.status in CACHED_STATUSES:
             _write_cache_entry(cpath, {"status": res.status, "data": res.data})
             hits[cpath] = res.status, res.data
+    # the record only serves a rerun that every task answers from the cache
+    if (use_cache and built is not None
+            and all(r.status in CACHED_STATUSES for r in results)):
+        _write_cache_entry(build_record, {"status": "ok", "data": {}})
     return RunResult(job, results, time.monotonic() - t0)

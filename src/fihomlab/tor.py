@@ -94,14 +94,19 @@ def koszul_strand(M: FIModule, n: int, deep: bool = False) -> StrandComplex:
         idx1 = {s: k for k, s in enumerate(subs_i1)}
         mat = Matrix.zeros(field, dims[i - 1], dims[i])
         if dim_m and dim_m1:
-            step = M.steps[n - i]
+            # the local block depends only on the insertion point q
+            local_at = [
+                M.pieces[n - i + 1].perm_matrix(
+                    Permutation.cycle(list(range(q, n - i + 2)), n - i + 1)
+                ) * M.steps[n - i]
+                for q in range(1, n - i + 2)
+            ]
             for k, T in enumerate(subs_i):
                 complement = [x for x in range(1, n + 1) if x not in set(T)]
                 for j, t in enumerate(T):
                     T1 = T[:j] + T[j + 1:]
                     q = sorted(complement + [t]).index(t) + 1
-                    cyc = Permutation.cycle(list(range(q, n - i + 2)), n - i + 1)
-                    local = M.pieces[n - i + 1].perm_matrix(cyc) * step
+                    local = local_at[q - 1]
                     sign = field.of(1 if j % 2 == 0 else -1)
                     r0 = idx1[T1] * dim_m1
                     c0 = k * dim_m

@@ -1,8 +1,12 @@
+import importlib
 import json
 
 import pytest
 
 from fihomlab.cli import main
+from fihomlab.fimod import FIError
+from fihomlab.linalg import InvariantViolation
+from fihomlab.tor import TorError
 
 DEMO = """
 field F5
@@ -93,6 +97,88 @@ def test_field_override_revalidates(tmp_path, monkeypatch, capsys):
     assert main(["run", str(path), "--field", "F3"]) == 3
 
 
+# inputs that are the job's own fault: each is an error line and exit 3
+BAD = "field F5\nwindow 3\nmodule A constant\nrep v trivial 1\n"
+INVALID_INPUTS = {
+    "nu-on-non-torsion": (BAD + "task nu A\n", []),
+    "negative-imax": (BAD + "policy imax -5\ntask tor A\n", []),
+    "negative-lcoh-imax": (BAD + "policy lcoh-imax -1\ntask lcoh A\n", []),
+    "zero-denominator": (BAD + "morphism f induced v A 1/0\ntask tor A\n", []),
+    "entry-not-in-F5": (BAD + "morphism f induced v A 1/5\ntask tor A\n", []),
+    "entry-not-in-F5-by-override": (
+        BAD.replace("F5", "Q") + "morphism f induced v A 1/5\ntask tor A\n",
+        ["--field", "F5"]),
+    "ragged-seed-rows": (
+        BAD + "rep r regular 2\nmorphism f induced r A 1,1;2\ntask tor A\n", []),
+    "directory": (None, []),
+    "not-utf8": (b"field F5\nwindow 3\n\xff\xfe\n", []),
+}
+
+
+@pytest.mark.parametrize("name", list(INVALID_INPUTS))
+def test_invalid_input_is_an_error_line_and_exit_3(tmp_path, monkeypatch, capsys,
+                                                   name):
+    monkeypatch.setenv("FIHOMLAB_CACHE_DIR", str(tmp_path / "cache"))
+    content, extra = INVALID_INPUTS[name]
+    path = tmp_path / "bad.job"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), *extra]) == 3
+    text = capsys.readouterr().err
+    assert "Traceback" not in text
+    if out.exists():
+        text += (out / "report.txt").read_text()
+    assert any(line.startswith("error: ") for line in text.splitlines())
+
+
+def _raise(exc):
+    def boom(*args, **kwargs):
+        raise exc
+    return boom
+
+
+INTERNAL_JOB = ("field F5\nwindow 4\nmodule A constant\nrep v2 trivial 2\n"
+                "module T torsion v2 2\n")
+# (module, attribute, exception, task line, phase that fails)
+INTERNAL_FAILURES = [
+    ("runner", "tor_table", TorError("injected oracle mismatch"), "task tor A",
+     "tor"),
+    ("runner", "cokernel", InvariantViolation("injected"),
+     "rep v1 trivial 1\nmorphism f induced v1 A 1\nmodule C cokernel f\n"
+     "task tor A", "build"),
+    ("loccoh", "cokernel", FIError("injected derived-module check"),
+     "task lcoh T", "lcoh"),
+]
+
+
+@pytest.mark.parametrize("module, attr, exc, task, phase", INTERNAL_FAILURES,
+                         ids=[f[-1] for f in INTERNAL_FAILURES])
+def test_internal_failure_exits_4_and_is_never_cached(
+        tmp_path, monkeypatch, capsys, module, attr, exc, task, phase):
+    monkeypatch.setenv("FIHOMLAB_CACHE_DIR", str(tmp_path / "cache"))
+    path = tmp_path / "job.job"
+    path.write_text(INTERNAL_JOB + task + "\n")
+    out = tmp_path / "out"
+    with monkeypatch.context() as m:
+        m.setattr(importlib.import_module(f"fihomlab.{module}"), attr, _raise(exc))
+        assert main(["run", str(path), "--out", str(out)]) == 4
+    assert "Traceback" in capsys.readouterr().err
+    [entry] = json.loads((out / "report.json").read_text())["tasks"]
+    assert (entry["task"], entry["status"]) == (phase, "internal")
+    assert entry["data"] == {"error": f"{type(exc).__name__}: {exc}"}
+    assert f"error: {type(exc).__name__}: {exc}" in (out / "report.txt").read_text()
+    assert not (tmp_path / "cache").exists()   # no task entry, no build record
+    # the rerun recomputes, and its results are cached
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert (tmp_path / "cache").exists()
+    assert "(cached)" not in (out / "timing.txt").read_text()
+
+
 def test_bare_checks(capsys):
     assert main(["good-ideal-check", "--field", "F7"]) == 0
     assert main(["koszul-check", "--field", "F5", "--window", "3"]) == 0
@@ -148,8 +234,15 @@ def test_cache_key_depends_on_the_package_version(monkeypatch):
 # objects that no task names and that cannot be built, with the status of
 # the build failure they cause
 UNBUILDABLE = [
-    ("rep r2 regular 2\nmorphism bad induced r2 A 1,0\n", "invalid", 3),
-    ("rep v3 trivial 3\nmodule Tbad torsion v3 7\n", "window", 2),
+    pytest.param("rep r2 regular 2\nmorphism bad induced r2 A 1,0\n", "invalid", 3,
+                 id="invalid"),
+    pytest.param("rep v3 trivial 3\nmodule Tbad torsion v3 7\n", "window", 2,
+                 id="window"),
+    pytest.param("rep r2 regular 2\nmorphism bad induced r2 A 1\n", "invalid", 3,
+                 id="invalid-seed-shape"),
+    pytest.param("rep v3 trivial 3\nmodule Tbad torsion v3 2\n", "invalid", 3,
+                 id="invalid-torsion-degree"),
+    pytest.param("module Sbad shift A -1\n", "invalid", 3, id="invalid-shift"),
 ]
 
 
@@ -186,8 +279,7 @@ def test_fully_cached_job_is_answered_without_a_build(demo_job, count_builds):
     assert [r.cached for r in again.results[-2:]] == [False, True]
 
 
-@pytest.mark.parametrize("extra, status, code", UNBUILDABLE,
-                         ids=[status for _, status, _ in UNBUILDABLE])
+@pytest.mark.parametrize("extra, status, code", UNBUILDABLE)
 def test_unbuildable_object_fails_the_same_whatever_the_cache_holds(
         demo_job, tmp_path, monkeypatch, count_builds, extra, status, code):
     from fihomlab.jobspec import parse_spec

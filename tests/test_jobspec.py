@@ -1,4 +1,7 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fihomlab.fields import GF
 from fihomlab.jobspec import SpecParseError, parse_spec
@@ -92,3 +95,48 @@ def test_duplicate_names_rejected():
     bad = "field Q\nwindow 3\nmodule A constant\nmodule A constant\n"
     with pytest.raises(SpecParseError):
         parse_spec(bad)
+
+
+def _parse_or_reject(text):
+    """parse_spec either returns a job or raises SpecParseError, nothing else."""
+    try:
+        parse_spec(text)
+    except SpecParseError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_random_text_raises_only_spec_parse_errors(text):
+    _parse_or_reject(text)
+
+
+EXAMPLE_LINES = [
+    line.split()
+    for line in (Path(__file__).parents[1] / "scripts" / "example.job").read_text().splitlines()
+]
+EXAMPLE_TOKENS = [(k, j) for k, line in enumerate(EXAMPLE_LINES) for j in range(len(line))]
+# tokens that reach the number, name and entry parsers with values they reject
+ODD_TOKENS = ["-5", "-1", "0", "1/0", "1/5", "2/3", "1,1;2", ";", ",", "1;", "x",
+              "1e5", "nan", "inf", "F4", "F0", "Q", "A", "sum", "imax", "nu-p",
+              "lcoh-imax", "assume-window-sufficient", "task", "#"]
+
+
+def _mutated_example(where, token):
+    k, j = where
+    lines = [list(line) for line in EXAMPLE_LINES]
+    lines[k][j] = token
+    return "\n".join(" ".join(line) for line in lines)
+
+
+def test_example_job_with_an_odd_token_anywhere_raises_only_spec_parse_errors():
+    for where in EXAMPLE_TOKENS:
+        for token in ODD_TOKENS:
+            _parse_or_reject(_mutated_example(where, token))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EXAMPLE_TOKENS),
+       st.one_of(st.integers(-10, 10).map(str), st.text(max_size=6)))
+def test_mutated_example_job_raises_only_spec_parse_errors(where, token):
+    _parse_or_reject(_mutated_example(where, token))
