@@ -1,9 +1,14 @@
 """Exact coefficient fields.
 
-Two kinds of field are supported: the rationals (elements are
-``fractions.Fraction``) and prime fields F_q (elements are ints normalized to
-``0 <= x < q``).  All arithmetic is exact; there is no floating point anywhere
-in this package.
+Two kinds of field are supported: the rationals and prime fields F_q.  An
+element of F_q is an int normalized to ``0 <= x < q``.  An element of Q is an
+``int | Fraction``: an integral value is always the int, and a ``Fraction``
+always has a denominator other than 1.  Every operation here returns values
+in that form, so most entries of a Q matrix are small ints, and int
+arithmetic is several times cheaper than ``Fraction`` arithmetic.  In both
+kinds zero is the int 0 and one is the int 1.  Equal values hash equal
+(``Fraction(1) == 1``), so the form never shows in results.  All arithmetic
+is exact; there is no floating point anywhere in this package.
 """
 from __future__ import annotations
 
@@ -14,18 +19,36 @@ class FieldError(ValueError):
     """Invalid field construction or mixed-field arithmetic."""
 
 
+# Miller-Rabin to the first 13 primes as bases is exact below the least
+# strong pseudoprime to all of them (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(q: int) -> bool:
+    """Deterministic primality test; a q it cannot decide is a FieldError."""
+    if q >= MR_EXACT_BELOW:
+        raise FieldError(f"modulus {q} is too large: primality is tested "
+                         f"exactly only below {MR_EXACT_BELOW}")
     if q < 2:
         return False
-    if q < 4:
-        return True
-    if q % 2 == 0:
-        return False
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
+    for p in _MR_BASES:
+        if q % p == 0:
+            return q == p
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -38,6 +61,8 @@ class Field:
 
     q: int | None = None
     characteristic: int = 0
+    zero = 0
+    one = 1
 
     def of(self, value):
         raise NotImplementedError
@@ -47,14 +72,6 @@ class Field:
 
     def normalize(self, value):
         raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
 
     def div(self, a, b):
         return self.normalize(a * self.inv(b))
@@ -72,16 +89,21 @@ class RationalField(Field):
     name = "Q"
 
     def of(self, value):
-        return Fraction(value)
+        if type(value) is int:
+            return value
+        return self.normalize(Fraction(value))
 
     def inv(self, value):
         v = Fraction(value)
         if v == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return 1 / v
+        # 1 / v of a Fraction is a Fraction; 1 / an int would be a float
+        return self.normalize(1 / v)
 
     def normalize(self, value):
-        return value
+        if type(value) is int or value.denominator != 1:
+            return value
+        return value.numerator
 
     def __repr__(self):
         return "QQ"

@@ -6,6 +6,12 @@ nonzeros that meet, and each elimination step touches only the nonzero
 columns of its pivot row.  Pivoting is deterministic (first nonzero entry in
 column order) and pivot rows are normalized to 1, so every basis produced
 here is reproducible bit-for-bit.
+
+Entries follow the contract of :mod:`fields`: over F_q an int in
+``0..q-1``, over Q an ``int | Fraction`` whose integral values are ints.
+Every operation here keeps it, so a ``Fraction`` with denominator 1 never
+leaves this module.  The Q branches demote inline, guarded by
+``type(x) is int``, so a zero or int entry costs no function call.
 """
 from __future__ import annotations
 
@@ -75,8 +81,8 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self):
-        zero = self.field.zero
-        return all(x == zero for row in self.data for x in row)
+        # zero is the int 0 in both field kinds, and every other value is truthy
+        return not any(map(any, self.data))
 
     def __eq__(self, other):
         return (
@@ -112,8 +118,9 @@ class Matrix:
             out = Matrix(self.field, [[(a[i][j] + b[i][j]) % q for j in range(self.cols)]
                                       for i in range(self.rows)])
         else:
-            out = Matrix(self.field, [[a[i][j] + b[i][j] for j in range(self.cols)]
-                                      for i in range(self.rows)])
+            out = Matrix(self.field, [[s if type(s := x + y) is int or s.denominator != 1
+                                       else s.numerator for x, y in zip(ra, rb)]
+                                      for ra, rb in zip(a, b)])
         out.cols = self.cols
         return out
 
@@ -126,7 +133,9 @@ class Matrix:
             c = c % q
             out = Matrix(self.field, [[(c * x) % q for x in row] for row in self.data])
         else:
-            out = Matrix(self.field, [[c * x for x in row] for row in self.data])
+            out = Matrix(self.field, [[y if type(y := c * x) is int or y.denominator != 1
+                                       else y.numerator for x in row]
+                                      for row in self.data])
         out.cols = self.cols
         return out
 
@@ -146,7 +155,11 @@ class Matrix:
                 if a:
                     for j, x in brows[k]:
                         acc[j] += a * x
-            out.append([x % q for x in acc] if q else acc)
+            if q:
+                out.append([x % q for x in acc])
+            else:
+                out.append([x if type(x) is int or x.denominator != 1
+                            else x.numerator for x in acc])
         m = Matrix(self.field, out)
         m.cols = ncols
         return m
@@ -180,7 +193,8 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
                 if q:
                     row.extend((x * y) % q for y in b.data[k])
                 else:
-                    row.extend(x * y for y in b.data[k])
+                    row.extend(z if type(z := x * y) is int or z.denominator != 1
+                               else z.numerator for y in b.data[k])
             rows.append(row)
     m = Matrix(a.field, rows)
     m.cols = a.cols * b.cols
@@ -231,7 +245,8 @@ def rref(m: Matrix):
             if q:
                 data[r] = [(inv * x) % q for x in data[r]]
             else:
-                data[r] = [inv * x for x in data[r]]
+                data[r] = [y if type(y := inv * x) is int or y.denominator != 1
+                           else y.numerator for x in data[r]]
         # a row update changes only the columns where the pivot row is nonzero
         nzr = [(j, x) for j, x in enumerate(data[r]) if x]
         for i in range(nr):
@@ -244,7 +259,8 @@ def rref(m: Matrix):
                     rowi[j] = (rowi[j] - factor * x) % q
             else:
                 for j, x in nzr:
-                    rowi[j] -= factor * x
+                    y = rowi[j] - factor * x
+                    rowi[j] = y if type(y) is int or y.denominator != 1 else y.numerator
         pivots.append(c)
         r += 1
         if r == nr:

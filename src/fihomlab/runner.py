@@ -147,11 +147,20 @@ def policy_from_job(job: JobSpec) -> Policy:
 
 
 def build_objects(job: JobSpec) -> dict:
-    """Materialize every rep, module, and morphism of a job, in order."""
+    """Materialize every module and morphism of a job, in order.
+
+    A rep is built when the first module or morphism names it, and never
+    when none does: a regular rep of degree d has dimension d!.
+    """
     field, window = job.field, job.window
     built: dict = {}
-    for name, (kind, deg) in job.reps.items():
-        built[name] = basic_rep(kind, deg, field)
+
+    def rep(name):
+        if name not in built:
+            kind, deg = job.reps[name]
+            built[name] = basic_rep(kind, deg, field)
+        return built[name]
+
     for name in job.order:
         try:
             if name in job.modules:
@@ -160,17 +169,18 @@ def build_objects(job: JobSpec) -> dict:
                 if form == "constant":
                     built[name] = fi_constant(field, window)
                 elif form == "induced":
-                    if built[spec[1]].n > window:
+                    deg = job.reps[spec[1]][1]
+                    if deg > window:
                         raise WindowExhausted(
-                            f"module {name!r}: generator degree {built[spec[1]].n} "
+                            f"module {name!r}: generator degree {deg} "
                             f"exceeds window {window}")
-                    built[name] = fi_induced(built[spec[1]], window)
+                    built[name] = fi_induced(rep(spec[1]), window)
                 elif form == "torsion":
                     if spec[2] > window:
                         raise WindowExhausted(
                             f"module {name!r}: concentration degree {spec[2]} "
                             f"exceeds window {window}")
-                    built[name] = fi_torsion_concentrated(built[spec[1]], spec[2], window)
+                    built[name] = fi_torsion_concentrated(rep(spec[1]), spec[2], window)
                 elif form == "sum":
                     built[name] = direct_sum(built[spec[1]], built[spec[2]])
                 elif form == "shift":
@@ -185,11 +195,9 @@ def build_objects(job: JobSpec) -> dict:
                     built[name] = image(built[spec[1]])[0]
             else:
                 _, repname, target, entries = job.morphisms[name]
-                f0 = Matrix.from_rows(
-                    field, [[field.of(x) for x in row] for row in entries],
-                    ncols=built[repname].dim,
-                )
-                built[name] = induced_morphism(built[repname], built[target], f0)
+                V = rep(repname)
+                f0 = Matrix.from_rows(field, entries, ncols=V.dim)
+                built[name] = induced_morphism(V, built[target], f0)
         except InputError as exc:
             raise InputError(f"building {name!r}: {exc}") from exc
     return built

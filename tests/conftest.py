@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,17 @@ from fihomlab.fields import GF, QQ
 from fihomlab.fimod import direct_sum, equivariant_hom_basis, fi_induced, induced_morphism
 from fihomlab.linalg import Matrix, column_space_basis, rref
 from fihomlab.reps import basic_rep, conjugate_rep, direct_sum_reps
+
+
+def assert_entry_types(field, data):
+    """The entry contract of ``fields``: over F_q an int in 0..q-1, over Q an
+    int, or a Fraction only when it is not integral."""
+    for row in data:
+        for x in row:
+            if field.q:
+                assert type(x) is int and 0 <= x < field.q
+            else:
+                assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def random_matrix(field, rows, cols, rng, lo=-3, hi=3):

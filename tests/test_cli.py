@@ -358,3 +358,46 @@ def test_build_key_covers_version_and_every_object(monkeypatch):
             == runner.task_cache_key(parse_spec(DEMO), "verify", "T"))
     monkeypatch.setattr(runner, "__version__", runner.__version__ + ".post1")
     assert runner._build_key(parse_spec(DEMO)) != key
+
+
+# -- reps are built on first use ------------------------------------------
+
+
+def test_an_unused_large_rep_is_never_built():
+    import time
+
+    from fihomlab.jobspec import parse_spec
+    from fihomlab.runner import build_objects
+
+    job = parse_spec("field F5\nwindow 2\nmodule A constant\nrep r regular 9\n"
+                     "task tor A\n")
+    t0 = time.monotonic()
+    built = build_objects(job)
+    assert time.monotonic() - t0 < 1.0
+    assert "r" not in built and "A" in built
+
+
+def test_an_induced_module_past_the_window_never_builds_its_rep(tmp_path, monkeypatch):
+    from fihomlab import runner
+
+    monkeypatch.setenv("FIHOMLAB_CACHE_DIR", str(tmp_path / "cache"))
+    built_reps = []
+    basic_rep = runner.basic_rep
+
+    def counting(kind, deg, field):
+        built_reps.append((kind, deg))
+        return basic_rep(kind, deg, field)
+
+    monkeypatch.setattr(runner, "basic_rep", counting)
+    path = tmp_path / "big.job"
+    path.write_text("field F5\nwindow 2\nrep r regular 9\nmodule I induced r\n"
+                    "task tor I\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [t["status"] for t in report["tasks"]] == ["window"]
+    assert built_reps == []
+    # a rep named by two objects is built once
+    path.write_text("field F5\nwindow 3\nrep v trivial 2\nmodule I induced v\n"
+                    "module T torsion v 2\ntask tor I\n")
+    assert main(["run", str(path), "--no-cache"]) == 0
+    assert built_reps == [("trivial", 2)]

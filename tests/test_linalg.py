@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_entry_types
+
 from fihomlab.fields import GF, QQ
 from fihomlab.linalg import (
     Matrix,
     NoSolution,
     SubquotientSpace,
+    block_diag,
     column_space_basis,
     in_span,
     kernel_basis,
@@ -111,17 +114,16 @@ def test_subquotient_space_dims_and_express():
 #
 # Plain dense loops that visit every entry.  They are the reference for the
 # zero-skipping kernels of ``Matrix.__mul__`` and ``rref``: both must give the
-# same entries, rank and pivots.
+# same entries, of the same types, with the same rank and pivots.  Every
+# entry goes through ``field.normalize``, which over Q demotes an integral
+# ``Fraction`` to its int.
 
 
 def dense_mul(a, b):
-    q = a.field.q
+    f = a.field
     bt = [b.column(j) for j in range(b.cols)]
-    out = []
-    for ra in a.data:
-        row = [sum(ra[k] * col[k] for k in range(a.cols)) for col in bt]
-        out.append([x % q for x in row] if q else row)
-    return out
+    return [[f.normalize(sum(ra[k] * col[k] for k in range(a.cols))) for col in bt]
+            for ra in a.data]
 
 
 def dense_rref(m):
@@ -160,7 +162,10 @@ def sparse_matrices(draw, field, rows=None, cols=None):
     r = draw(oracle_dims) if rows is None else rows
     c = draw(oracle_dims) if cols is None else cols
     density = draw(st.sampled_from([0, 1, 2, 5, 10]))   # in tenths
-    cells = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(-4, 4)),
+    # denominators 2 and 3 give non-integral rationals over Q
+    cells = draw(st.lists(st.tuples(st.integers(0, 9),
+                                    st.builds(Fraction, st.integers(-4, 4),
+                                              st.sampled_from([1, 1, 2, 3]))),
                           min_size=r * c, max_size=r * c))
     zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=2))
@@ -168,15 +173,6 @@ def sparse_matrices(draw, field, rows=None, cols=None):
                 for j, (u, x) in enumerate(cells[i * c:(i + 1) * c])]
                for i in range(r)]
     return Matrix.from_rows(field, entries, ncols=c)
-
-
-def assert_entry_types(field, data):
-    for row in data:
-        for x in row:
-            if field.q:
-                assert type(x) is int and 0 <= x < field.q
-            else:
-                assert type(x) is Fraction
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -203,3 +199,43 @@ def test_rref_matches_dense_oracle(field, data):
     assert (red.rows, red.cols) == (m.rows, m.cols)
     assert_entry_types(field, red.data)
     assert m.data == snapshot   # the input is left untouched
+
+
+# -- the Q entry contract beyond the two kernels --------------------------
+
+
+@pytest.mark.parametrize("field, entry", [(QQ, Fraction(1, 2)), (GF(5), 3)], ids=repr)
+def test_one_nonzero_entry_makes_a_matrix_nonzero(field, entry):
+    assert Matrix.zeros(field, 3, 4).is_zero()
+    m = Matrix.zeros(field, 3, 4)
+    m.data[2][1] = entry
+    assert not m.is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_no_integral_fraction_escapes_over_qq(data):
+    r, c, k = (data.draw(oracle_dims) for _ in range(3))
+    m = data.draw(sparse_matrices(QQ, r, c))
+    n = data.draw(sparse_matrices(QQ, r, c))
+    x = data.draw(sparse_matrices(QQ, c, k))
+    y = data.draw(sparse_matrices(QQ, c, k))
+    c_scalar = data.draw(st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 2, 3])))
+    sq = SubquotientSpace.from_sub_killed(m, m * y)
+    outputs = [
+        kernel_basis(m),
+        column_space_basis(m),
+        solve(m, m * x),
+        sq.reps,
+        sq.express(m * x),
+        sq.induced_map(Matrix.identity(QQ, r).scale(c_scalar), sq),
+        kronecker(m, x),
+        block_diag(QQ, [m, x]),
+        m - n,
+        m + m,   # an entry with denominator 2 doubles to an int
+        m.scale(c_scalar),
+        Matrix.identity(QQ, r),
+        Matrix.zeros(QQ, r, c),
+    ]
+    for out in outputs:
+        assert_entry_types(QQ, out.data)

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_induced_morphism, random_rep
+from conftest import assert_entry_types, random_induced_morphism, random_rep
 
 import fihomlab.complexes as complexes
 import fihomlab.tor as tor
@@ -159,6 +159,21 @@ def test_rank_formula_matches_subquotient_oracle(kind, field, seed):
             assert strand_homology_dim(strand, i) == _strand_homology_sq(strand, i).dim
             if kind != "complex":
                 assert hyper_tor_rep(FIComplex.single(X), i, n) == tor_rep(X, i, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["constant", "mix", "kernel", "cokernel"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cached_strands_keep_the_qq_entry_contract(kind, seed):
+    """No differential of a verified strand over Q holds an integral Fraction."""
+    if kind == "mix":
+        X = direct_sum(fi_induced(basic_rep("sign", 2, QQ), 4),
+                       fi_torsion_concentrated(basic_rep("trivial", 1, QQ), 1, 4))
+    else:
+        X = _random_module(kind, QQ, random.Random(seed))
+    for n in range(X.valid_through + 1):
+        for d in cached_strand(X, n).diffs.values():
+            assert_entry_types(QQ, d.data)
 
 
 def test_d2_guard_fires_on_a_perturbed_total_differential(field):
