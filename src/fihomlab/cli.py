@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .jobspec import JobSpec, SpecParseError, parse_spec
@@ -77,9 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _apply_overrides(job: JobSpec, args) -> JobSpec:
-    text = job.canonical_text()
-    lines = text.splitlines()
+    given = [getattr(args, key, None) for key in ("field", "window", "imax", "nu_p")]
+    if given == [None] * 4 and not getattr(args, "assume_window_sufficient", False):
+        return job
+    lines = job.canonical_text().splitlines()
     if getattr(args, "field", None):
         lines = [f"field {args.field}" if ln.startswith("field ") else ln
                  for ln in lines]
@@ -128,7 +137,7 @@ def _emit(result: RunResult, args, stream=None) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             job = _load_job(args)

@@ -138,17 +138,17 @@ def total_strand(C: FIComplex, g: int) -> StrandComplex:
     diffs = {}
     for k in range(lo + 1, hi + 1):
         tgt = offsets[k - 1]
-        out = Matrix.zeros(field, dims[k - 1], dims[k])
+        blocks = []   # in increasing column offset
         for (m, i), c0 in offsets[k].items():
             if (m, i - 1) in tgt:
-                _paste(out, tgt[(m, i - 1)], c0, strands[m].diffs[i])
+                blocks.append((tgt[(m, i - 1)], c0, strands[m].diffs[i]))
             if (m + 1, i) in tgt:
                 delta = C.diff_matrix(m, g - i)
                 blk = block_diag(field, [delta] * math.comb(g, i))
                 if i % 2:
                     blk = blk.scale(field.of(-1))
-                _paste(out, tgt[(m + 1, i)], c0, blk)
-        diffs[k] = out
+                blocks.append((tgt[(m + 1, i)], c0, blk))
+        diffs[k] = Matrix.from_blocks(field, dims[k - 1], dims[k], blocks)
     strand = StrandComplex(g, field, lo, hi, dims, diffs,
                            partial(_total_term, strands, g, field))
     verify_strand(strand)
@@ -162,11 +162,6 @@ def cached_total_strand(C: FIComplex, g: int) -> StrandComplex:
     if strand is None:
         strand = C.strands[g] = total_strand(C, g)
     return strand
-
-
-def _paste(out, r0, c0, blk):
-    for r, row in enumerate(blk.data):
-        out.data[r0 + r][c0:c0 + blk.cols] = row
 
 
 def hyper_tor(C: FIComplex, i_max: int) -> TorTable:

@@ -23,7 +23,7 @@ from .linalg import (
     block_diag,
     column_space_basis,
     kernel_basis,
-    rref,
+    rank,
 )
 from .permutations import Permutation
 from .reps import (
@@ -190,7 +190,7 @@ def fi_induced(V: SnRep, window: int) -> FIModule:
         for k, s in enumerate(subs_n):
             k1 = idx1[s]
             for v in range(V.dim):
-                m.data[k1 * V.dim + v][k * V.dim + v] = field.one
+                m.data[k1 * V.dim + v] = [(k * V.dim + v, field.one)]
         steps.append(m)
     return FIModule(field, window, pieces, steps)
 
@@ -388,8 +388,7 @@ def induced_morphism(V: SnRep, target: FIModule, f0: Matrix) -> FIMorphism:
         for s in combinations(range(1, n + 1), d):
             rest = [x for x in range(1, n + 1) if x not in set(s)]
             g_s = target.pieces[n].perm_matrix(Permutation(list(s) + rest))
-            moved = g_s * comp
-            cols.extend(moved.column(v) for v in range(V.dim))
+            cols.extend((g_s * comp).columns())
         maps.append(Matrix.from_columns(field, cols, nrows=target.dim(n)))
     return FIMorphism(source, target, maps)
 
@@ -404,23 +403,28 @@ def equivariant_hom_basis(V: SnRep, W: SnRep) -> list[Matrix]:
         return []
     rows = []
     for i in range(max(V.n - 1, 0)):
-        gv, gw = V.gens[i], W.gens[i]
+        gv_cols, gw = V.gens[i].columns(), W.gens[i]
         # (gw F - F gv) entry (r, c), F flattened row-major
         for r in range(dw):
             for c in range(dv):
-                row = [field.zero] * (dw * dv)
-                for k in range(dw):
-                    row[k * dv + c] = field.normalize(row[k * dv + c] + gw.data[r][k])
-                for k in range(dv):
-                    row[r * dv + k] = field.normalize(row[r * dv + k] - gv.data[k][c])
+                row = {}
+                for k, x in gw.data[r]:
+                    row[k * dv + c] = x
+                for k, x in gv_cols[c]:
+                    row[r * dv + k] = row.get(r * dv + k, 0) - x
                 rows.append(row)
     if not rows:
         basis = Matrix.identity(field, dw * dv).columns()
     else:
-        basis = kernel_basis(Matrix.from_rows(field, rows, ncols=dw * dv)).columns()
+        basis = kernel_basis(Matrix.from_dicts(field, rows, dw * dv)).columns()
     out = []
     for vec in basis:
-        out.append(Matrix(field, [[vec[r * dv + c] for c in range(dv)] for r in range(dw)]))
+        # unflatten: the index order of ``vec`` is the row-major order of F
+        F = Matrix.zeros(field, dw, dv)
+        for idx, x in vec:
+            r, c = divmod(idx, dv)
+            F.data[r].append((c, x))
+        out.append(F)
     return out
 
 
@@ -523,7 +527,7 @@ def maxdeg(M: FIModule) -> MaxDeg:
     # nonzero at the window end: +inf only if the last two steps are isomorphisms
     if vt >= 2:
         iso = all(
-            M.dim(n) == M.dim(n + 1) and rref(M.steps[n])[0] == M.dim(n)
+            M.dim(n) == M.dim(n + 1) and rank(M.steps[n]) == M.dim(n)
             for n in (vt - 2, vt - 1)
         )
         if iso:

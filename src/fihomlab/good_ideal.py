@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .fields import Field, FieldError
 from .group_algebra import GroupAlgebraElement
-from .linalg import Matrix, rref
+from .linalg import Matrix, rank
 from .permutations import Permutation, all_permutations
 from .reps import SnRep, act, basic_rep, external_tensor, induce_young
 
@@ -97,11 +97,8 @@ def two_sided_ideal_dimension(x: GroupAlgebraElement) -> int:
                 * x
                 * GroupAlgebraElement.of_permutation(b, f)
             )
-            row = [f.zero] * len(elems)
-            for p, c in y.terms.items():
-                row[index[p.images]] = c
-            rows.append(row)
-    return rref(Matrix.from_rows(f, rows, ncols=len(elems)))[0]
+            rows.append({index[p.images]: c for p, c in y.terms.items()})
+    return rank(Matrix.from_dicts(f, rows, len(elems)))
 
 
 def induced_sign_rep(p: int, field: Field) -> SnRep:

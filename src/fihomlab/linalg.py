@@ -1,19 +1,33 @@
-"""Exact linear algebra: products, rref, kernels, solving, and subquotients.
+"""Exact linear algebra on sparse rows: products, rref, rank, kernels,
+solving, and subquotients.
 
-Matrices are stored densely, as lists-of-lists over one field, but the two
-hot kernels skip zeros: a product costs one multiply-add per pair of
-nonzeros that meet, and each elimination step touches only the nonzero
-columns of its pivot row.  Pivoting is deterministic (first nonzero entry in
-column order) and pivot rows are normalized to 1, so every basis produced
-here is reproducible bit-for-bit.
+Storage.  A :class:`Matrix` keeps one list per row in ``data``.  Row i holds
+only its nonzero entries, as ``(col, val)`` pairs whose columns increase
+strictly and lie in ``0..cols-1``; no stored value is zero, so a zero matrix
+of any shape stores nothing but empty rows.  A row is never changed in place
+once its matrix is built, so operations share rows between matrices.  A
+sparse vector, such as a column from :meth:`Matrix.columns` or an input of
+:meth:`Matrix.from_columns`, has the same form, indexed by row.
+
+Every operation visits nonzeros only: a product costs one multiply-add per
+pair of nonzeros that meet, and ``is_zero`` looks at no entry.  There is one
+elimination kernel, :func:`_forward`, working on dict rows: it reduces each
+row against the pivot rows found so far and keeps what remains as a new
+pivot row.  :func:`rank` is that forward pass alone; :func:`rref` adds the
+back-substitution.  The reduced row-echelon form is unique, so ``rref`` and
+every basis built from it (kernels, column spaces, solutions, subquotient
+representatives) are reproducible bit-for-bit whatever order the forward
+pass eliminates in.  Pivot rows are normalized to 1.
 
 Entries follow the contract of :mod:`fields`: over F_q an int in
-``0..q-1``, over Q an ``int | Fraction`` whose integral values are ints.
+``1..q-1``, over Q an ``int | Fraction`` whose integral values are ints.
 Every operation here keeps it, so a ``Fraction`` with denominator 1 never
 leaves this module.  The Q branches demote inline, guarded by
-``type(x) is int``, so a zero or int entry costs no function call.
+``type(x) is int``, so an int entry costs no function call.
 """
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from .fields import Field, FieldError
 
@@ -26,63 +40,101 @@ class InvariantViolation(LinAlgError):
     """An operator failed to preserve a span it was required to preserve."""
 
 
+def _freeze(q, acc: dict) -> list:
+    """A sparse row from a ``{col: sum}`` dict: sums reduced (mod q over
+    F_q, integral values demoted over Q), zeros dropped, columns sorted."""
+    if q:
+        return [(j, y) for j, x in sorted(acc.items()) if (y := x % q)]
+    return [(j, x if type(x) is int or x.denominator != 1 else x.numerator)
+            for j, x in sorted(acc.items()) if x]
+
+
+def _scaled(q, c, row) -> list:
+    """``c * row`` for a nonzero scalar c; no product of nonzeros is zero."""
+    if q:
+        return [(j, c * x % q) for j, x in row]
+    return [(j, y if type(y := c * x) is int or y.denominator != 1 else y.numerator)
+            for j, x in row]
+
+
 class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
-    def __init__(self, field: Field, data):
+    def __init__(self, field: Field, rows: int, cols: int, data=None):
+        """``data`` is taken as it is and must keep the storage contract;
+        without it the matrix is zero."""
         self.field = field
-        data = [list(row) for row in data]
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        for row in data:
-            if len(row) != self.cols:
-                raise LinAlgError("ragged matrix data")
+        self.rows = rows
+        self.cols = cols
+        if data is None:
+            data = [[] for _ in range(rows)]
+        elif len(data) != rows:
+            raise LinAlgError("row count does not match matrix data")
         self.data = data
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None):
-        rows = [[field.of(x) for x in row] for row in rows]
-        if not rows and ncols is not None:
-            m = cls(field, [])
-            m.cols = ncols
-            return m
-        return cls(field, rows)
+        """From dense rows of values that ``field.of`` accepts; ``ncols``
+        gives the width of an empty list of rows."""
+        rows = [list(row) for row in rows]
+        ncols = len(rows[0]) if rows else ncols or 0
+        of = field.of
+        data = []
+        for row in rows:
+            if len(row) != ncols:
+                raise LinAlgError("ragged matrix data")
+            data.append([(j, y) for j, x in enumerate(row) if (y := of(x))])
+        return cls(field, len(rows), ncols, data)
+
+    @classmethod
+    def from_dicts(cls, field, rows, ncols):
+        """From rows given as ``{col: value}`` dicts of sums of entries."""
+        q = field.q
+        return cls(field, len(rows), ncols, [_freeze(q, d) for d in rows])
 
     @classmethod
     def identity(cls, field, n):
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls(field, n, n, [[(i, 1)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        zero = field.zero
-        m = cls(field, [[zero] * cols for _ in range(rows)])
-        m.cols = cols
-        return m
+        return cls(field, rows, cols)
 
     @classmethod
-    def from_columns(cls, field, columns, nrows=None):
-        """Build a matrix whose columns are the given vectors."""
-        if not columns:
-            if nrows is None:
-                raise LinAlgError("from_columns with no columns needs nrows")
-            return cls.zeros(field, nrows, 0)
-        nrows = len(columns[0])
-        return cls(field, [[columns[j][i] for j in range(len(columns))] for i in range(nrows)])
+    def from_blocks(cls, field, rows, cols, blocks):
+        """Place each ``(r0, c0, block)`` of ``blocks`` with its top left
+        entry at (r0, c0).  Blocks may not overlap, and the blocks that meet
+        one row must come in increasing c0, which keeps every row sorted."""
+        data = [[] for _ in range(rows)]
+        for r0, c0, blk in blocks:
+            for r, row in enumerate(blk.data, r0):
+                if row:
+                    data[r].extend([(c0 + c, x) for c, x in row] if c0 else row)
+        return cls(field, rows, cols, data)
+
+    @classmethod
+    def from_columns(cls, field, columns, nrows):
+        """The matrix whose columns are the given sparse vectors."""
+        data = [[] for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            for i, x in col:
+                data[i].append((j, x))
+        return cls(field, nrows, len(columns), data)
 
     # -- basics -------------------------------------------------------
 
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        """Every column as a sparse vector, in one pass over the rows."""
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row:
+                cols[j].append((i, x))
+        return cols
 
     def is_zero(self):
-        # zero is the int 0 in both field kinds, and every other value is truthy
-        return not any(map(any, self.data))
+        return not any(self.data)
 
     def __eq__(self, other):
         return (
@@ -94,13 +146,13 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, tuple(map(tuple, self.data))))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
     def copy(self):
-        return Matrix(self.field, self.data)
+        return Matrix(self.field, self.rows, self.cols, [list(row) for row in self.data])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -113,16 +165,16 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError("shape mismatch in add")
         q = self.field.q
-        a, b = self.data, other.data
-        if q:
-            out = Matrix(self.field, [[(a[i][j] + b[i][j]) % q for j in range(self.cols)]
-                                      for i in range(self.rows)])
-        else:
-            out = Matrix(self.field, [[s if type(s := x + y) is int or s.denominator != 1
-                                       else s.numerator for x, y in zip(ra, rb)]
-                                      for ra, rb in zip(a, b)])
-        out.cols = self.cols
-        return out
+        data = []
+        for ra, rb in zip(self.data, other.data):
+            if not (ra and rb):
+                data.append(ra or rb)
+                continue
+            acc = dict(ra)
+            for j, y in rb:
+                acc[j] = acc.get(j, 0) + y
+            data.append(_freeze(q, acc))
+        return Matrix(self.field, self.rows, self.cols, data)
 
     def __sub__(self, other):
         return self + other.scale(self.field.of(-1))
@@ -130,53 +182,40 @@ class Matrix:
     def scale(self, c):
         q = self.field.q
         if q:
-            c = c % q
-            out = Matrix(self.field, [[(c * x) % q for x in row] for row in self.data])
-        else:
-            out = Matrix(self.field, [[y if type(y := c * x) is int or y.denominator != 1
-                                       else y.numerator for x in row]
-                                      for row in self.data])
-        out.cols = self.cols
-        return out
+            c %= q
+        if not c:
+            return Matrix(self.field, self.rows, self.cols)
+        return Matrix(self.field, self.rows, self.cols,
+                      [_scaled(q, c, row) for row in self.data])
 
     def __mul__(self, other):
         self._check(other)
         if self.cols != other.rows:
             raise LinAlgError("shape mismatch in mul")
         q = self.field.q
-        zero = self.field.zero
-        ncols = other.cols
-        # the nonzeros of each row of the right operand, as (column, entry)
-        brows = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
+        brows = other.data
         out = []
         for ra in self.data:
-            acc = [zero] * ncols
-            for k, a in enumerate(ra):
-                if a:
-                    for j, x in brows[k]:
-                        acc[j] += a * x
-            if q:
-                out.append([x % q for x in acc])
-            else:
-                out.append([x if type(x) is int or x.denominator != 1
-                            else x.numerator for x in acc])
-        m = Matrix(self.field, out)
-        m.cols = ncols
-        return m
-
-    def transpose(self):
-        m = Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                for j in range(self.cols)])
-        m.cols = self.rows
-        return m
+            if len(ra) == 1:
+                # a row with one nonzero, as in every permutation matrix,
+                # picks out one row of the right operand
+                k, a = ra[0]
+                out.append(brows[k] if a == 1 else _scaled(q, a, brows[k]))
+                continue
+            acc = {}
+            get = acc.get
+            for k, a in ra:
+                for j, x in brows[k]:
+                    acc[j] = get(j, 0) + a * x
+            out.append(_freeze(q, acc) if acc else [])
+        return Matrix(self.field, self.rows, other.cols, out)
 
     def hstack(self, other):
         self._check(other)
         if self.rows != other.rows:
             raise LinAlgError("row mismatch in hstack")
-        out = Matrix(self.field, [self.data[i] + other.data[i] for i in range(self.rows)])
-        out.cols = self.cols + other.cols
-        return out
+        return Matrix.from_blocks(self.field, self.rows, self.cols + other.cols,
+                                  [(0, 0, self), (0, self.cols, other)])
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
@@ -184,116 +223,133 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     if a.field != b.field:
         raise FieldError("mixed-field kronecker")
     q = a.field.q
-    rows = []
-    for i in range(a.rows):
-        for k in range(b.rows):
+    bc = b.cols
+    data = []
+    for ra in a.data:
+        for rb in b.data:
             row = []
-            for j in range(a.cols):
-                x = a.data[i][j]
-                if q:
-                    row.extend((x * y) % q for y in b.data[k])
-                else:
-                    row.extend(z if type(z := x * y) is int or z.denominator != 1
-                               else z.numerator for y in b.data[k])
-            rows.append(row)
-    m = Matrix(a.field, rows)
-    m.cols = a.cols * b.cols
-    return m
+            for j, x in ra:
+                row.extend((j * bc + l, y) for l, y in _scaled(q, x, rb))
+            data.append(row)
+    return Matrix(a.field, a.rows * b.rows, a.cols * bc, data)
 
 
 def block_diag(field, blocks):
-    n = sum(b.rows for b in blocks)
-    c = sum(b.cols for b in blocks)
-    out = Matrix.zeros(field, n, c)
-    i0 = j0 = 0
+    placed = []
+    r0 = c0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            out.data[i0 + i][j0:j0 + b.cols] = b.data[i]
-        i0 += b.rows
-        j0 += b.cols
-    return out
+        placed.append((r0, c0, b))
+        r0 += b.rows
+        c0 += b.cols
+    return Matrix.from_blocks(field, r0, c0, placed)
 
 
 # -- elimination ------------------------------------------------------
 
 
-def rref(m: Matrix):
-    """Reduced row-echelon form.
+def _forward(m: Matrix) -> dict:
+    """The forward pass: an echelon basis of the row space of ``m``.
 
-    Returns ``(rank, pivots, reduced)``.  Pivot choice is the first nonzero
-    entry in column order; pivot rows are scaled to 1.
+    Returns ``{c: tail}`` with one entry per pivot column c: the pivot row,
+    scaled to 1 at c, holds that 1 and the ``{col: value}`` dict ``tail`` of
+    its entries right of c.  Each row of ``m`` in turn is reduced against the
+    pivot rows found so far, at its pivot columns in increasing order (a
+    reduction only brings in columns right of the pivot it clears), and
+    what is left of it, if anything, is a new pivot row at its first column.
     """
     f = m.field
     q = f.q
-    data = [list(row) for row in m.data]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if data[i][c]:
-                pr = i
-                break
-        if pr is None:
+    pivots = {}
+    for row in m.data:
+        if not row:
             continue
-        if pr != r:
-            data[r], data[pr] = data[pr], data[r]
-        piv = data[r][c]
-        if piv != f.one:
-            inv = f.inv(piv)
-            if q:
-                data[r] = [(inv * x) % q for x in data[r]]
-            else:
-                data[r] = [y if type(y := inv * x) is int or y.denominator != 1
-                           else y.numerator for x in data[r]]
-        # a row update changes only the columns where the pivot row is nonzero
-        nzr = [(j, x) for j, x in enumerate(data[r]) if x]
-        for i in range(nr):
-            rowi = data[i]
-            factor = rowi[c]
-            if i == r or not factor:
-                continue
-            if q:
-                for j, x in nzr:
-                    rowi[j] = (rowi[j] - factor * x) % q
-            else:
-                for j, x in nzr:
-                    y = rowi[j] - factor * x
-                    rowi[j] = y if type(y) is int or y.denominator != 1 else y.numerator
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    red = Matrix(f, data)
-    red.cols = nc
-    return r, tuple(pivots), red
+        d = dict(row)
+        # a sorted list is a heap
+        heap = [j for j, _ in row if j in pivots]
+        while heap:
+            c = heappop(heap)
+            a = d.pop(c, 0)
+            if not a:
+                continue   # cleared already, or pushed twice
+            for j, x in pivots[c].items():
+                y = d.get(j)
+                if y is None:
+                    if j in pivots:
+                        heappush(heap, j)
+                    y = -a * x
+                else:
+                    y -= a * x
+                if q:
+                    y %= q
+                elif type(y) is not int and y.denominator == 1:
+                    y = y.numerator
+                if y:
+                    d[j] = y
+                else:
+                    del d[j]
+        if d:
+            c = min(d)
+            inv = f.inv(d.pop(c))
+            pivots[c] = dict(_scaled(q, inv, d.items())) if inv != 1 else d
+    return pivots
+
+
+def rref(m: Matrix):
+    """Reduced row-echelon form.
+
+    Returns ``(rank, pivots, reduced)``: the pivot columns in increasing
+    order and the unique reduced form, its pivot rows scaled to 1 and its
+    zero rows last.
+    """
+    f = m.field
+    q = f.q
+    pivots = _forward(m)
+    order = sorted(pivots)
+    # back-substitution from the last pivot: pivot rows right of c are
+    # reduced already, so clearing them from c's row brings in no pivot column
+    for c in reversed(order):
+        tail = pivots[c]
+        for c2 in [j for j in tail if j in pivots]:
+            a = tail.pop(c2)
+            for j, x in pivots[c2].items():
+                y = tail.get(j, 0) - a * x
+                if q:
+                    y %= q
+                elif type(y) is not int and y.denominator == 1:
+                    y = y.numerator
+                if y:
+                    tail[j] = y
+                else:
+                    del tail[j]
+    data = [[(c, 1)] + sorted(pivots[c].items()) for c in order]
+    data.extend([] for _ in range(m.rows - len(order)))
+    return len(order), tuple(order), Matrix(f, m.rows, m.cols, data)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[0]
+    return len(_forward(m))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a basis of the null space of ``m``."""
+    """Columns form a basis of the null space of ``m``: one per free column
+    c, with 1 at c and minus row i of the reduced form at pivot i."""
     f = m.field
-    r, pivots, red = rref(m)
+    _, pivots, red = rref(m)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    cols = []
-    for c in free:
-        v = [f.zero] * m.cols
-        v[c] = f.one
-        for i, p in enumerate(pivots):
-            v[p] = f.normalize(-red.data[i][c])
-        cols.append(v)
+    free = {c: [] for c in range(m.cols) if c not in pivset}
+    for p, row in zip(pivots, red.data):
+        for c, x in row[1:]:
+            free[c].append((p, f.normalize(-x)))
+    # every pivot p with an entry at c lies left of c
+    cols = [entries + [(c, 1)] for c, entries in free.items()]
     return Matrix.from_columns(f, cols, nrows=m.cols)
 
 
 def column_space_basis(m: Matrix) -> Matrix:
     """Deterministic basis of the column space (the pivot columns)."""
     _, pivots, _ = rref(m)
-    return Matrix.from_columns(m.field, [m.column(c) for c in pivots], nrows=m.rows)
+    cols = m.columns()
+    return Matrix.from_columns(m.field, [cols[c] for c in pivots], nrows=m.rows)
 
 
 class NoSolution(LinAlgError):
@@ -311,16 +367,13 @@ def solve(basis: Matrix, targets: Matrix) -> Matrix:
         raise FieldError("mixed-field solve")
     if basis.rows != targets.rows:
         raise LinAlgError("shape mismatch in solve")
-    f = basis.field
-    aug = basis.hstack(targets)
-    _, pivots, red = rref(aug)
-    for p in pivots:
-        if p >= basis.cols:
-            raise NoSolution("target outside span")
-    x = Matrix.zeros(f, basis.cols, targets.cols)
-    for i, p in enumerate(pivots):
-        for j in range(targets.cols):
-            x.data[p][j] = red.data[i][basis.cols + j]
+    bc = basis.cols
+    _, pivots, red = rref(basis.hstack(targets))
+    if pivots and pivots[-1] >= bc:
+        raise NoSolution("target outside span")
+    x = Matrix.zeros(basis.field, bc, targets.cols)
+    for p, row in zip(pivots, red.data):
+        x.data[p] = [(j - bc, y) for j, y in row if j >= bc]
     return x
 
 
@@ -361,10 +414,11 @@ class SubquotientSpace:
         killed = column_space_basis(killed)
         # extend the killed basis by columns of sub; rref pivots past the
         # killed block pick the quotient representatives
-        aug = killed.hstack(sub)
-        _, pivots, _ = rref(aug)
-        rep_cols = [aug.column(p) for p in pivots if p >= killed.cols]
-        reps = Matrix.from_columns(f, rep_cols, nrows=sub.rows)
+        kc = killed.cols
+        _, pivots, _ = rref(killed.hstack(sub))
+        sub_cols = sub.columns()
+        reps = Matrix.from_columns(f, [sub_cols[p - kc] for p in pivots if p >= kc],
+                                   nrows=sub.rows)
         return cls(f, sub.rows, killed, reps)
 
     def express(self, vectors: Matrix) -> Matrix:
@@ -373,16 +427,11 @@ class SubquotientSpace:
             coords = solve(self._frame, vectors)
         except NoSolution:
             raise InvariantViolation("vector outside subquotient span") from None
-        out = Matrix(self.field, coords.data[self.killed.cols:])
-        out.cols = vectors.cols
-        return out
+        return Matrix(self.field, self.dim, vectors.cols,
+                      coords.data[self.killed.cols:])
 
     def induced_map(self, ambient: Matrix, target: "SubquotientSpace") -> Matrix:
         """Matrix of the map induced by ``ambient`` into ``target``'s quotient."""
         if self.dim == 0:
             return Matrix.zeros(self.field, target.dim, 0)
-        images = ambient * self.reps
-        out = target.express(images)
-        out.cols = self.dim
-        return out
-
+        return target.express(ambient * self.reps)

@@ -100,9 +100,9 @@ def basic_rep(kind: str, n: int, field: Field) -> SnRep:
     if kind == "natural":
         gens = []
         for i in range(1, n):
-            m = Matrix.identity(field, n)
-            m.data[i - 1], m.data[i] = m.data[i], m.data[i - 1]
-            gens.append(m)
+            rows = [[(j, 1)] for j in range(n)]
+            rows[i - 1], rows[i] = rows[i], rows[i - 1]
+            gens.append(Matrix(field, n, n, rows))
         return SnRep(n, field, gens, dim=n)
     if kind == "regular":
         from .permutations import all_permutations
@@ -112,10 +112,10 @@ def basic_rep(kind: str, n: int, field: Field) -> SnRep:
         gens = []
         for i in range(1, n):
             s = Permutation.adjacent(i, n)
-            m = Matrix.zeros(field, len(elems), len(elems))
+            rows = [None] * len(elems)
             for k, p in enumerate(elems):
-                m.data[index[(s * p).images]][k] = field.one
-            gens.append(m)
+                rows[index[(s * p).images]] = [(k, 1)]
+            gens.append(Matrix(field, len(elems), len(elems), rows))
         return SnRep(n, field, gens, dim=len(elems))
     raise RepError(f"unknown basic rep kind {kind!r}")
 
@@ -201,7 +201,7 @@ def induce_young(block: BlockRep) -> SnRep:
     gens = []
     for i in range(1, n):
         s_i = Permutation.adjacent(i, n)
-        m = Matrix.zeros(field, dim, dim)
+        blocks = []
         for s in subsets:
             g_s = reps[s]
             t = tuple(sorted(s_i(x) for x in s))
@@ -209,15 +209,10 @@ def induce_young(block: BlockRep) -> SnRep:
             # h lies in the Young subgroup; split it into its two block parts
             pi = Permutation([h(x) for x in range(1, a + 1)])
             rho = Permutation([h(x) - a for x in range(a + 1, n + 1)])
-            blockmat = block.pair_matrix(pi, rho)
-            r0 = sub_index[t] * inner
-            c0 = sub_index[s] * inner
-            for r in range(inner):
-                row = m.data[r0 + r]
-                brow = blockmat.data[r]
-                for c in range(inner):
-                    row[c0 + c] = brow[c]
-        gens.append(m)
+            # s_i permutes the subsets, so each row block gets one block
+            blocks.append((sub_index[t] * inner, sub_index[s] * inner,
+                           block.pair_matrix(pi, rho)))
+        gens.append(Matrix.from_blocks(field, dim, dim, blocks))
     # Coxeter verification is quadratic-in-dim matrix work; it is skipped on
     # this hot path and the test suite covers the construction instead.
     return SnRep(n, field, gens, dim=dim, check=False)

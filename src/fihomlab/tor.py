@@ -89,35 +89,28 @@ def koszul_strand(M: FIModule, n: int, deep: bool = False) -> StrandComplex:
     for i in range(1, n + 1):
         dim_m = M.dim(n - i)
         dim_m1 = M.dim(n - i + 1)
-        subs_i = list(combinations(range(1, n + 1), i))
-        subs_i1 = list(combinations(range(1, n + 1), i - 1))
-        idx1 = {s: k for k, s in enumerate(subs_i1)}
-        mat = Matrix.zeros(field, dims[i - 1], dims[i])
+        blocks = []
         if dim_m and dim_m1:
-            # the local block depends only on the insertion point q
+            # the local block depends only on the insertion point q, and
+            # its sign only on the parity of the letter's position j
             local_at = [
                 M.pieces[n - i + 1].perm_matrix(
                     Permutation.cycle(list(range(q, n - i + 2)), n - i + 1)
                 ) * M.steps[n - i]
                 for q in range(1, n - i + 2)
             ]
-            for k, T in enumerate(subs_i):
-                complement = [x for x in range(1, n + 1) if x not in set(T)]
+            signed = [local_at, [loc.scale(field.of(-1)) for loc in local_at]]
+            subs_i1 = combinations(range(1, n + 1), i - 1)
+            idx1 = {s: k for k, s in enumerate(subs_i1)}
+            # one block at (row block T - {t}, column block T) for each t in
+            # T; the column blocks come in order
+            for k, T in enumerate(combinations(range(1, n + 1), i)):
                 for j, t in enumerate(T):
-                    T1 = T[:j] + T[j + 1:]
-                    q = sorted(complement + [t]).index(t) + 1
-                    local = local_at[q - 1]
-                    sign = field.of(1 if j % 2 == 0 else -1)
-                    r0 = idx1[T1] * dim_m1
-                    c0 = k * dim_m
-                    for r in range(dim_m1):
-                        row = mat.data[r0 + r]
-                        lrow = local.data[r]
-                        for c in range(dim_m):
-                            row[c0 + c] = field.normalize(
-                                row[c0 + c] + sign * lrow[c]
-                            )
-        diffs[i] = mat
+                    # t's insertion point among the letters outside T - {t}
+                    # is q = t - j, as j letters of T precede t
+                    blocks.append((idx1[T[:j] + T[j + 1:]] * dim_m1, k * dim_m,
+                                   signed[j % 2][t - j - 1]))
+        diffs[i] = Matrix.from_blocks(field, dims[i - 1], dims[i], blocks)
     strand = StrandComplex(n, field, 0, n, dims, diffs,
                            partial(_koszul_term, M.pieces, n, field))
     verify_strand(strand, deep=deep)

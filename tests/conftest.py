@@ -8,19 +8,65 @@ import pytest
 
 from fihomlab.fields import GF, QQ
 from fihomlab.fimod import direct_sum, equivariant_hom_basis, fi_induced, induced_morphism
-from fihomlab.linalg import Matrix, column_space_basis, rref
+from fihomlab.linalg import Matrix, column_space_basis, rank
 from fihomlab.reps import basic_rep, conjugate_rep, direct_sum_reps
 
 
-def assert_entry_types(field, data):
-    """The entry contract of ``fields``: over F_q an int in 0..q-1, over Q an
-    int, or a Fraction only when it is not integral."""
-    for row in data:
-        for x in row:
+def assert_entry_types(field, m):
+    """The storage contract of ``linalg`` and the entry contract of
+    ``fields``: each row of ``m`` lists ``(col, val)`` pairs with strictly
+    increasing columns in ``0..cols-1`` and no stored zero; over F_q a value
+    is an int in 1..q-1, over Q an int, or a Fraction only when it is not
+    integral."""
+    assert len(m.data) == m.rows
+    for row in m.data:
+        cols = [j for j, _ in row]
+        assert all(type(j) is int for j in cols)
+        assert all(a < b for a, b in zip(cols, cols[1:]))
+        assert all(0 <= j < m.cols for j in cols)
+        for _, x in row:
+            assert x != 0
             if field.q:
                 assert type(x) is int and 0 <= x < field.q
             else:
                 assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+# -- dense <-> sparse ---------------------------------------------------
+#
+# ``Matrix`` stores sparse rows only; the dense list-of-lists form lives on
+# here, for the hypothesis oracles and for tests that read or perturb
+# single entries.
+
+
+def to_dense(m):
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for i, row in enumerate(m.data):
+        for j, x in row:
+            out[i][j] = x
+    return out
+
+
+def from_dense(field, rows, ncols):
+    """A matrix from dense rows already in the field's entry form."""
+    return Matrix(field, len(rows), ncols,
+                  [[(j, x) for j, x in enumerate(row) if x] for row in rows])
+
+
+def entry(m, i, j):
+    return dict(m.data[i]).get(j, 0)
+
+
+def set_entry(m, i, j, x):
+    """Replace row i of ``m`` by one whose entry at column j is x (rows are
+    shared between matrices, so they are replaced, never changed in place)."""
+    row = dict(m.data[i])
+    row[j] = x
+    m.data[i] = [(c, y) for c, y in sorted(row.items()) if y]
+
+
+def trace(m):
+    return sum(entry(m, i, i) for i in range(m.rows))
 
 
 def random_matrix(field, rows, cols, rng, lo=-3, hi=3):
@@ -34,7 +80,7 @@ def random_matrix(field, rows, cols, rng, lo=-3, hi=3):
 def random_invertible(field, n, rng):
     while True:
         m = random_matrix(field, n, n, rng)
-        if rref(m)[0] == n:
+        if rank(m) == n:
             return m
 
 

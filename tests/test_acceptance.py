@@ -77,7 +77,7 @@ def character(rep):
     out = {}
     for lam in partitions(rep.n):
         m = rep.perm_matrix(cycle_type_rep(lam, rep.n))
-        out[lam] = sum(m.data[i][i] for i in range(m.rows))
+        out[lam] = conftest.trace(m)
     return out
 
 

@@ -51,6 +51,34 @@ def test_reports_byte_identical_across_runs(demo_job, tmp_path):
     assert (out1 / "report.json").read_bytes() == (out3 / "report.json").read_bytes()
 
 
+def test_an_unchanged_job_is_parsed_once(demo_job, tmp_path, monkeypatch):
+    import fihomlab.cli as cli
+
+    texts = []
+    real = cli.parse_spec
+    monkeypatch.setattr(cli, "parse_spec", lambda text: texts.append(text) or real(text))
+    assert main(["run", str(demo_job), "--out", str(tmp_path / "o1")]) == 0
+    assert texts == [DEMO]
+    # an override is applied to the canonical text, which is parsed again
+    assert main(["tor", str(demo_job), "--window", "4", "--out", str(tmp_path / "o2")]) == 0
+    assert len(texts) == 3 and "window 4" in texts[2]
+
+
+def test_the_parser_is_built_once_per_process(demo_job, monkeypatch, capsys):
+    import fihomlab.cli as cli
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert main(["run", str(demo_job)]) == 0
+        assert main(["tor", str(demo_job), "--module", "A"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
 def test_invalid_spec_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.job"
     bad.write_text("field Q\nwindow 2\nmodule M induced nosuchrep\ntask tor M\n")

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from conftest import set_entry
+
 from fihomlab.fimod import (
     FIError,
     FIModule,
@@ -40,7 +42,7 @@ def test_invariant_violation_is_caught(field):
     M = fi_induced(basic_rep("trivial", 1, field), 3)
     steps = list(M.steps)
     bad = steps[1].copy()
-    bad.data[1][0] = field.one  # sends the generator into an asymmetric vector
+    set_entry(bad, 1, 0, field.one)  # sends the generator into an asymmetric vector
     steps[1] = bad
     with pytest.raises(FIError):
         FIModule(field, 3, M.pieces, steps)

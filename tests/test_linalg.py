@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_entry_types
+from conftest import assert_entry_types, from_dense, set_entry, to_dense
 
 from fihomlab.fields import GF, QQ
 from fihomlab.linalg import (
@@ -48,7 +48,9 @@ def test_rank_nullity(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices(GF(5)))
 def test_rank_equals_transpose_rank_gf5(m):
-    assert rank(m) == rank(m.transpose())
+    # the rows of m, read as sparse columns, are the columns of its transpose
+    transpose = Matrix.from_columns(m.field, m.data, nrows=m.cols)
+    assert rank(m) == rank(transpose)
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,22 +115,23 @@ def test_subquotient_space_dims_and_express():
 # -- dense oracle -------------------------------------------------------
 #
 # Plain dense loops that visit every entry.  They are the reference for the
-# zero-skipping kernels of ``Matrix.__mul__`` and ``rref``: both must give the
-# same entries, of the same types, with the same rank and pivots.  Every
-# entry goes through ``field.normalize``, which over Q demotes an integral
+# sparse kernels of ``Matrix.__mul__`` and ``rref``: both must give the same
+# entries, of the same types, with the same rank and pivots.  Every entry
+# goes through ``field.normalize``, which over Q demotes an integral
 # ``Fraction`` to its int.
 
 
 def dense_mul(a, b):
     f = a.field
-    bt = [b.column(j) for j in range(b.cols)]
-    return [[f.normalize(sum(ra[k] * col[k] for k in range(a.cols))) for col in bt]
-            for ra in a.data]
+    da, db = to_dense(a), to_dense(b)
+    return [[f.normalize(sum(ra[k] * db[k][j] for k in range(a.cols)))
+             for j in range(b.cols)]
+            for ra in da]
 
 
 def dense_rref(m):
     f = m.field
-    data = [list(row) for row in m.data]
+    data = to_dense(m)
     nr, nc = m.rows, m.cols
     pivots = []
     r = 0
@@ -184,8 +187,10 @@ def test_mul_matches_dense_oracle(field, data):
     b = data.draw(sparse_matrices(field, k, c))
     prod = a * b
     assert (prod.rows, prod.cols) == (r, c)
-    assert prod.data == dense_mul(a, b)
-    assert_entry_types(field, prod.data)
+    expected = dense_mul(a, b)
+    assert to_dense(prod) == expected
+    assert prod == from_dense(field, expected, c)
+    assert_entry_types(field, prod)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -195,9 +200,9 @@ def test_rref_matches_dense_oracle(field, data):
     m = data.draw(sparse_matrices(field))
     snapshot = [list(row) for row in m.data]
     rk, pivots, red = rref(m)
-    assert (rk, pivots, red.data) == dense_rref(m)
+    assert (rk, pivots, to_dense(red)) == dense_rref(m)
     assert (red.rows, red.cols) == (m.rows, m.cols)
-    assert_entry_types(field, red.data)
+    assert_entry_types(field, red)
     assert m.data == snapshot   # the input is left untouched
 
 
@@ -208,7 +213,7 @@ def test_rref_matches_dense_oracle(field, data):
 def test_one_nonzero_entry_makes_a_matrix_nonzero(field, entry):
     assert Matrix.zeros(field, 3, 4).is_zero()
     m = Matrix.zeros(field, 3, 4)
-    m.data[2][1] = entry
+    set_entry(m, 2, 1, entry)
     assert not m.is_zero()
 
 
@@ -238,4 +243,78 @@ def test_no_integral_fraction_escapes_over_qq(data):
         Matrix.zeros(QQ, r, c),
     ]
     for out in outputs:
-        assert_entry_types(QQ, out.data)
+        assert_entry_types(QQ, out)
+
+
+# -- the sparse-row storage contract ------------------------------------
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_operation_keeps_the_storage_contract(field, data):
+    r, c, k = (data.draw(oracle_dims) for _ in range(3))
+    m = data.draw(sparse_matrices(field, r, c))
+    n = data.draw(sparse_matrices(field, r, c))
+    x = data.draw(sparse_matrices(field, c, k))
+    scalar = field.of(data.draw(st.builds(Fraction, st.integers(-4, 4),
+                                          st.sampled_from([1, 2, 3]))))
+    sq = SubquotientSpace.from_sub_killed(m, m * x)
+    outputs = [
+        m * x,
+        m + n,
+        m - n,
+        m.scale(scalar),
+        m.hstack(n),
+        m.copy(),
+        kronecker(m, x),
+        block_diag(field, [m, x, n]),
+        rref(m)[2],
+        kernel_basis(m),
+        column_space_basis(m),
+        solve(m, m * x),
+        sq.reps,
+        sq.express(m * x),
+        sq.induced_map(Matrix.identity(field, r), sq),
+        Matrix.from_columns(field, m.columns(), nrows=r),
+        Matrix.from_dicts(field, [dict(row) for row in (m + n).data], c),
+        Matrix.from_rows(field, to_dense(m), ncols=c),
+        Matrix.identity(field, r),
+        Matrix.zeros(field, r, c),
+    ]
+    for out in outputs:
+        assert_entry_types(field, out)
+    assert Matrix.from_columns(field, m.columns(), nrows=r) == m
+    assert Matrix.from_rows(field, to_dense(m), ncols=c) == m
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_is_independent_of_row_order(field, data):
+    m = data.draw(sparse_matrices(field))
+    order = data.draw(st.permutations(range(m.rows)))
+    permuted = Matrix(field, m.rows, m.cols, [m.data[i] for i in order])
+    assert rref(permuted) == rref(m)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_is_the_rref_rank(field, data):
+    m = data.draw(sparse_matrices(field))
+    assert rank(m) == rref(m)[0]
+
+
+def test_huge_zero_and_identity_allocate_no_dense_cells():
+    import time
+
+    f = GF(5)
+    t0 = time.perf_counter()
+    z = Matrix.zeros(f, 10**5, 10**5)
+    eye = Matrix.identity(f, 10**5)
+    elapsed = time.perf_counter() - t0
+    assert z.is_zero() and not eye.is_zero()
+    assert (eye.rows, eye.cols) == (10**5, 10**5)
+    assert sum(map(len, eye.data)) == 10**5
+    assert elapsed < 0.5

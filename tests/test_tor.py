@@ -6,11 +6,17 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_entry_types, random_induced_morphism, random_rep
+from conftest import assert_entry_types, entry, random_induced_morphism, random_rep, set_entry
 
 import fihomlab.complexes as complexes
 import fihomlab.tor as tor
-from fihomlab.complexes import FIComplex, hyper_tor, hyper_tor_rep, total_strand
+from fihomlab.complexes import (
+    FIComplex,
+    cached_total_strand,
+    hyper_tor,
+    hyper_tor_rep,
+    total_strand,
+)
 from fihomlab.fimod import (
     FIMorphism,
     cokernel,
@@ -55,8 +61,8 @@ def test_d2_guard_fires_on_a_perturbed_differential():
     strand = koszul_strand(fi_constant(field, 4), 4)
     d2, d3 = strand.diffs[2], strand.diffs[3]
     # an entry (0, k) of d2 whose column k meets a nonzero of row k of d3
-    k = next(k for k in range(d3.rows) if any(d3.data[k]))
-    d2.data[0][k] = (d2.data[0][k] + 1) % field.q
+    k = next(k for k in range(d3.rows) if d3.data[k])
+    set_entry(d2, 0, k, (entry(d2, 0, k) + 1) % field.q)
     with pytest.raises(TorError, match="d\\^2"):
         verify_strand(strand)
 
@@ -161,19 +167,22 @@ def test_rank_formula_matches_subquotient_oracle(kind, field, seed):
                 assert hyper_tor_rep(FIComplex.single(X), i, n) == tor_rep(X, i, n)
 
 
-@settings(max_examples=20, deadline=None)
-@given(kind=st.sampled_from(["constant", "mix", "kernel", "cokernel"]),
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["constant", "mix", "kernel", "cokernel", "complex"]),
+       field=st.sampled_from([QQ, GF(5), GF(7)]),
        seed=st.integers(0, 2**32 - 1))
-def test_cached_strands_keep_the_qq_entry_contract(kind, seed):
-    """No differential of a verified strand over Q holds an integral Fraction."""
+def test_cached_strands_keep_the_storage_contract(kind, field, seed):
+    """Every differential of a verified strand, Koszul or total, keeps
+    sorted sparse rows with no stored zero, and over Q no integral Fraction."""
     if kind == "mix":
-        X = direct_sum(fi_induced(basic_rep("sign", 2, QQ), 4),
-                       fi_torsion_concentrated(basic_rep("trivial", 1, QQ), 1, 4))
+        X = direct_sum(fi_induced(basic_rep("sign", 2, field), 4),
+                       fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 4))
     else:
-        X = _random_module(kind, QQ, random.Random(seed))
+        X = _random_module(kind, field, random.Random(seed))
     for n in range(X.valid_through + 1):
-        for d in cached_strand(X, n).diffs.values():
-            assert_entry_types(QQ, d.data)
+        strand = cached_total_strand(X, n) if kind == "complex" else cached_strand(X, n)
+        for d in strand.diffs.values():
+            assert_entry_types(field, d)
 
 
 def test_d2_guard_fires_on_a_perturbed_total_differential(field):
@@ -184,9 +193,9 @@ def test_d2_guard_fires_on_a_perturbed_total_differential(field):
     # an entry (0, j) of d_k whose column j meets a nonzero of row j of d_{k+1}
     k, j = next((k, j) for k in range(strand.lo + 1, strand.hi)
                 for j in range(strand.diffs[k + 1].rows)
-                if strand.diffs[k].rows and any(strand.diffs[k + 1].data[j]))
+                if strand.diffs[k].rows and strand.diffs[k + 1].data[j])
     d = strand.diffs[k]
-    d.data[0][j] = field.normalize(d.data[0][j] + field.one)
+    set_entry(d, 0, j, field.normalize(entry(d, 0, j) + field.one))
     with pytest.raises(TorError, match="d\\^2"):
         verify_strand(strand)
 
