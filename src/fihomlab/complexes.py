@@ -11,7 +11,7 @@ import math
 from functools import partial
 
 from .fimod import FIModule, subquotient_module
-from .linalg import Matrix, block_diag, column_space_basis, kernel_basis
+from .linalg import Matrix, block_diag, kernel_basis
 from .reps import SnRep, direct_sum_reps, zero_rep
 from .tor import (
     StrandComplex,
@@ -97,7 +97,7 @@ def complex_cohomology(C: FIComplex) -> dict:
         subs, killeds = [], []
         for n in range(C.window + 1):
             subs.append(kernel_basis(C.diff_matrix(i, n)))
-            killeds.append(column_space_basis(C.diff_matrix(i - 1, n)))
+            killeds.append(C.diff_matrix(i - 1, n))
         mod, _ = subquotient_module(
             ambient, subs, killeds,
             torsion_hint=ambient.torsion_hint,

@@ -301,8 +301,9 @@ def subquotient_module(ambient: FIModule, subs, killeds=None, torsion_hint=False
                        valid_through=None) -> tuple[FIModule, list[SubquotientSpace]]:
     """FIModule structure on degreewise subquotients of an ambient module.
 
-    ``subs[n]`` and ``killeds[n]`` are ambient column bases; both families
-    must be preserved by the group action and compatible with the steps.
+    The columns of ``subs[n]`` and ``killeds[n]`` span ambient subspaces;
+    both families must be preserved by the group action and compatible with
+    the steps.
     """
     field = ambient.field
     if killeds is None:
@@ -336,9 +337,8 @@ def kernel(f: FIMorphism) -> tuple[FIModule, FIMorphism]:
 def image(f: FIMorphism) -> tuple[FIModule, FIMorphism]:
     """Degreewise image with its inclusion into the target."""
     tgt = f.target
-    subs = [column_space_basis(f.maps[n]) for n in range(tgt.window + 1)]
     vt = min(f.source.valid_through, tgt.valid_through)
-    mod, sqs = subquotient_module(tgt, subs, torsion_hint=tgt.torsion_hint,
+    mod, sqs = subquotient_module(tgt, f.maps, torsion_hint=tgt.torsion_hint,
                                   valid_through=vt)
     incl = FIMorphism(mod, tgt, [sq.reps for sq in sqs])
     return mod, incl
@@ -348,9 +348,8 @@ def cokernel(f: FIMorphism) -> tuple[FIModule, FIMorphism]:
     """Degreewise cokernel with the projection from the target."""
     tgt = f.target
     full = [Matrix.identity(tgt.field, tgt.dim(n)) for n in range(tgt.window + 1)]
-    killed = [column_space_basis(f.maps[n]) for n in range(tgt.window + 1)]
     vt = min(f.source.valid_through, tgt.valid_through)
-    mod, sqs = subquotient_module(tgt, full, killed, torsion_hint=tgt.torsion_hint,
+    mod, sqs = subquotient_module(tgt, full, f.maps, torsion_hint=tgt.torsion_hint,
                                   valid_through=vt)
     proj = FIMorphism(
         tgt, mod,

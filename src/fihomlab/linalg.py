@@ -346,10 +346,11 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 
 def column_space_basis(m: Matrix) -> Matrix:
-    """Deterministic basis of the column space (the pivot columns)."""
-    _, pivots, _ = rref(m)
+    """Deterministic basis of the column space (the pivot columns, which
+    the forward pass alone gives)."""
     cols = m.columns()
-    return Matrix.from_columns(m.field, [cols[c] for c in pivots], nrows=m.rows)
+    return Matrix.from_columns(m.field, [cols[c] for c in sorted(_forward(m))],
+                               nrows=m.rows)
 
 
 class NoSolution(LinAlgError):
@@ -378,11 +379,9 @@ def solve(basis: Matrix, targets: Matrix) -> Matrix:
 
 
 def in_span(basis: Matrix, targets: Matrix) -> bool:
-    try:
-        solve(basis, targets)
-        return True
-    except NoSolution:
-        return False
+    """Whether every column of ``targets`` lies in span(basis): no pivot of
+    ``[basis | targets]`` lies past ``basis``."""
+    return all(c < basis.cols for c in _forward(basis.hstack(targets)))
 
 
 # -- subquotients -----------------------------------------------------
@@ -394,6 +393,11 @@ class SubquotientSpace:
     ``killed`` columns must lie in span(sub).  ``reps`` holds ambient
     representative columns of a basis of the quotient; they are chosen
     deterministically from the columns of ``sub``.
+
+    The frame ``F = [killed | reps]`` has full column rank k, so it is reduced
+    once, when the space is built: ``[F | 1]`` reduces to ``[[1_k; 0] | E]``.
+    v lies in span(F) exactly when the rows of ``E v`` past k are zero, and
+    then its first k rows are the unique coordinates :func:`solve` gives.
     """
 
     def __init__(self, field, ambient_dim, killed: Matrix, reps: Matrix):
@@ -402,7 +406,15 @@ class SubquotientSpace:
         self.killed = killed
         self.reps = reps
         self.dim = reps.cols
-        self._frame = killed.hstack(reps)
+        kc, k = killed.cols, killed.cols + reps.cols
+        eye = Matrix.identity(field, ambient_dim)
+        _, pivots, red = rref(killed.hstack(reps).hstack(eye))
+        if pivots[:k] != tuple(range(k)):
+            raise LinAlgError("subquotient frame columns are dependent")
+        # the rows of E past ``killed``: quotient coordinates, then membership
+        self._reducer = Matrix(field, ambient_dim - kc, ambient_dim,
+                               [[(j - k, x) for j, x in row if j >= k]
+                                for row in red.data[kc:]])
 
     @classmethod
     def from_sub_killed(cls, sub: Matrix, killed: Matrix | None = None):
@@ -412,10 +424,10 @@ class SubquotientSpace:
         if killed.cols and not in_span(sub, killed):
             raise InvariantViolation("killed space not inside sub space")
         killed = column_space_basis(killed)
-        # extend the killed basis by columns of sub; rref pivots past the
+        # extend the killed basis by columns of sub; the pivots past the
         # killed block pick the quotient representatives
         kc = killed.cols
-        _, pivots, _ = rref(killed.hstack(sub))
+        pivots = sorted(_forward(killed.hstack(sub)))
         sub_cols = sub.columns()
         reps = Matrix.from_columns(f, [sub_cols[p - kc] for p in pivots if p >= kc],
                                    nrows=sub.rows)
@@ -423,12 +435,10 @@ class SubquotientSpace:
 
     def express(self, vectors: Matrix) -> Matrix:
         """Quotient coordinates of ambient columns lying in span(sub)."""
-        try:
-            coords = solve(self._frame, vectors)
-        except NoSolution:
-            raise InvariantViolation("vector outside subquotient span") from None
-        return Matrix(self.field, self.dim, vectors.cols,
-                      coords.data[self.killed.cols:])
+        reduced = self._reducer * vectors
+        if any(reduced.data[self.dim:]):
+            raise InvariantViolation("vector outside subquotient span")
+        return Matrix(self.field, self.dim, vectors.cols, reduced.data[:self.dim])
 
     def induced_map(self, ambient: Matrix, target: "SubquotientSpace") -> Matrix:
         """Matrix of the map induced by ``ambient`` into ``target``'s quotient."""

@@ -8,6 +8,7 @@ a well-defined S_n-action.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
 from .fields import Field, FieldError
@@ -150,12 +151,8 @@ def conjugate_rep(rep: SnRep, change: Matrix) -> SnRep:
 
 
 class BlockRep:
-    """An external tensor U boxtimes W: a representation of S_a x S_b.
-
-    Generators are indexed by the adjacent transpositions of S_{a+b} that lie
-    in the Young subgroup, i.e. every s_i with ``i != a``.  Basis ordering is
-    (U basis) major, (W basis) minor.
-    """
+    """An external tensor U boxtimes W: a representation of S_a x S_b, with
+    (U basis) major and (W basis) minor."""
 
     def __init__(self, U: SnRep, W: SnRep):
         if U.field != W.field:
@@ -167,20 +164,9 @@ class BlockRep:
         self.field = U.field
         self.dim = U.dim * W.dim
 
-    def pair_matrix(self, pi: Permutation, rho: Permutation) -> Matrix:
-        """Matrix of (pi, rho) in S_a x S_b."""
-        return kronecker(self.U.perm_matrix(pi), self.W.perm_matrix(rho))
-
 
 def external_tensor(U: SnRep, W: SnRep) -> BlockRep:
     return BlockRep(U, W)
-
-
-def _coset_rep(subset, n):
-    """Order-preserving permutation sending 1..a to ``subset``, rest to the complement."""
-    subset = tuple(subset)
-    rest = [x for x in range(1, n + 1) if x not in set(subset)]
-    return Permutation(list(subset) + rest)
 
 
 def induce_young(block: BlockRep) -> SnRep:
@@ -188,30 +174,39 @@ def induce_young(block: BlockRep) -> SnRep:
 
     Basis: for each a-subset S of {1..n} in lexicographic order (S marks
     where the first block lands), a copy of the U tensor W basis transported
-    by the order-preserving coset representative.
+    by the order-preserving coset representative.  Column block S of s_i is:
+
+    - i and i+1 both in S, i at position k of S: ``U(s_k) (x) 1_W`` on the
+      diagonal;
+    - neither in S, i at position k of the complement: ``1_U (x) W(s_k)``
+      on the diagonal;
+    - exactly one in S: the identity, at the row of S with i, i+1 swapped.
     """
-    a, b = block.a, block.b
-    n = a + b
+    U, W = block.U, block.W
+    a, n = block.a, block.a + block.b
     field = block.field
-    subsets = list(combinations(range(1, n + 1), a))
-    sub_index = {s: k for k, s in enumerate(subsets)}
-    reps = {s: _coset_rep(s, n) for s in subsets}
     inner = block.dim
-    dim = len(subsets) * inner
+    subsets = list(combinations(range(1, n + 1), a))
+    dim = inner * len(subsets)
+    sub_index = {s: k for k, s in enumerate(subsets)}
+    left = [kronecker(g, Matrix.identity(field, W.dim)) for g in U.gens]
+    right = [kronecker(Matrix.identity(field, U.dim), g) for g in W.gens]
+    one = Matrix.identity(field, inner)
     gens = []
     for i in range(1, n):
-        s_i = Permutation.adjacent(i, n)
         blocks = []
-        for s in subsets:
-            g_s = reps[s]
-            t = tuple(sorted(s_i(x) for x in s))
-            h = reps[t].inverse() * s_i * g_s
-            # h lies in the Young subgroup; split it into its two block parts
-            pi = Permutation([h(x) for x in range(1, a + 1)])
-            rho = Permutation([h(x) - a for x in range(a + 1, n + 1)])
-            # s_i permutes the subsets, so each row block gets one block
-            blocks.append((sub_index[t] * inner, sub_index[s] * inner,
-                           block.pair_matrix(pi, rho)))
+        for col, s in enumerate(subsets):
+            c0 = col * inner
+            k = bisect_left(s, i)       # letters of S below i
+            has_i, has_next = i in s, i + 1 in s
+            if has_i and has_next:
+                blocks.append((c0, c0, left[k]))
+            elif has_i or has_next:
+                t = s[:k] + (i + 1 if has_i else i,) + s[k + 1:]
+                blocks.append((sub_index[t] * inner, c0, one))
+            else:
+                blocks.append((c0, c0, right[i - 1 - k]))
+        # s_i permutes the subsets, so each row block gets one block
         gens.append(Matrix.from_blocks(field, dim, dim, blocks))
     # Coxeter verification is quadratic-in-dim matrix work; it is skipped on
     # this hot path and the test suite covers the construction instead.

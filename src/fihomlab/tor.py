@@ -17,7 +17,6 @@ from .fimod import FIModule, generation_degrees
 from .linalg import (
     Matrix,
     SubquotientSpace,
-    column_space_basis,
     kernel_basis,
     rank,
 )
@@ -149,15 +148,11 @@ def verify_strand(strand: StrandComplex, deep: bool = False):
 
 def _strand_homology_sq(strand: StrandComplex, i: int) -> SubquotientSpace:
     """Cycles modulo boundaries at term i, with quotient representatives."""
-    field, dim = strand.field, strand.term_dim(i)
-    if i < strand.hi:
-        boundaries = column_space_basis(strand.diffs[i + 1])
-    else:
-        boundaries = Matrix.zeros(field, dim, 0)
     if i > strand.lo:
         cycles = kernel_basis(strand.diffs[i])
     else:
-        cycles = Matrix.identity(field, dim)
+        cycles = Matrix.identity(strand.field, strand.term_dim(i))
+    boundaries = strand.diffs[i + 1] if i < strand.hi else None
     return SubquotientSpace.from_sub_killed(cycles, boundaries)
 
 

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import assert_entry_types, from_dense, set_entry, to_dense
 
 from fihomlab.fields import GF, QQ
 from fihomlab.linalg import (
+    InvariantViolation,
+    LinAlgError,
     Matrix,
     NoSolution,
     SubquotientSpace,
@@ -110,6 +112,61 @@ def test_subquotient_space_dims_and_express():
     coords = sq.express(v)
     # the representative must agree with v modulo the killed subspace
     assert in_span(killed, sq.reps * coords - v)
+
+
+# -- subquotient coordinates and membership ------------------------------
+#
+# ``SubquotientSpace`` reduces its frame ``[killed | reps]`` once; ``solve``
+# on that frame is the reference for the coordinates ``express`` returns,
+# and a vector outside span(sub) must be rejected.
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=repr)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_express_matches_solve_on_the_frame(field, data):
+    r, c, k, t = (data.draw(oracle_dims) for _ in range(4))
+    sub = data.draw(sparse_matrices(field, r, c))
+    killed = sub * data.draw(sparse_matrices(field, c, k))
+    vectors = sub * data.draw(sparse_matrices(field, c, t))
+    sq = SubquotientSpace.from_sub_killed(sub, killed)
+    coords = solve(sq.killed.hstack(sq.reps), vectors)
+    expressed = sq.express(vectors)
+    assert expressed == Matrix(field, sq.dim, t, coords.data[sq.killed.cols:])
+    assert_entry_types(field, expressed)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=repr)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_express_rejects_a_vector_outside_the_sub_span(field, data):
+    r = data.draw(st.integers(1, 6))
+    c, k = data.draw(oracle_dims), data.draw(oracle_dims)
+    sub = data.draw(sparse_matrices(field, r, c))
+    killed = sub * data.draw(sparse_matrices(field, c, k))
+    sq = SubquotientSpace.from_sub_killed(sub, killed)
+    # a unit vector outside span(sub), shifted by a vector inside it
+    outside = [j for j in range(r)
+               if not in_span(sub, Matrix.from_columns(field, [[(j, 1)]], nrows=r))]
+    assume(outside)
+    inside = sub * data.draw(sparse_matrices(field, c, 1))
+    unit = Matrix.from_columns(field, [[(data.draw(st.sampled_from(outside)), 1)]],
+                               nrows=r)
+    scalar = field.of(data.draw(st.integers(1, field.q - 1 if field.q else 4)))
+    bad = inside + unit.scale(scalar)
+    with pytest.raises(InvariantViolation):
+        sq.express(bad)
+    # one bad column among good ones is enough
+    good = sub * data.draw(sparse_matrices(field, c, 2))
+    with pytest.raises(InvariantViolation):
+        sq.express(good.hstack(bad))
+
+
+def test_a_dependent_subquotient_frame_is_refused():
+    f = QQ
+    reps = mat(f, [[1, 2], [0, 0]])
+    with pytest.raises(LinAlgError):
+        SubquotientSpace(f, 2, Matrix.zeros(f, 2, 0), reps)
 
 
 # -- dense oracle -------------------------------------------------------

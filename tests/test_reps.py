@@ -1,11 +1,15 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conftest
 
-from fihomlab.fields import QQ
-from fihomlab.linalg import Matrix
+from fihomlab.fields import GF, QQ
+from fihomlab.fimod import kernel
+from fihomlab.linalg import Matrix, kronecker
 from fihomlab.permutations import Permutation, all_permutations
 from fihomlab.reps import (
     RepError,
@@ -126,3 +130,71 @@ def test_conjugate_rep_preserves_action(field, rng):
 def test_zero_rep(field):
     z = zero_rep(4, field)
     assert z.dim == 0 and z.is_zero()
+
+
+# -- the coset oracle -----------------------------------------------------
+#
+# Young induction by permutation words: for each a-subset S and each s_i,
+# factor g_T^-1 s_i g_S into its S_a and S_b parts and place the Kronecker
+# product of their matrices.  ``induce_young`` reads the same blocks off by
+# index arithmetic and must give identical data.
+
+
+def coset_induce_young(block):
+    U, W, a = block.U, block.W, block.a
+    n = a + block.b
+    subsets = list(combinations(range(1, n + 1), a))
+    index = {s: k for k, s in enumerate(subsets)}
+    cosets = {s: Permutation(list(s) + [x for x in range(1, n + 1) if x not in s])
+              for s in subsets}
+    inner = block.dim
+    dim = len(subsets) * inner
+    gens = []
+    for i in range(1, n):
+        s_i = Permutation.adjacent(i, n)
+        blocks = []
+        for s in subsets:
+            t = tuple(sorted(s_i(x) for x in s))
+            h = cosets[t].inverse() * s_i * cosets[s]
+            pi = Permutation([h(x) for x in range(1, a + 1)])
+            rho = Permutation([h(x) - a for x in range(a + 1, n + 1)])
+            blocks.append((index[t] * inner, index[s] * inner,
+                           kronecker(U.perm_matrix(pi), W.perm_matrix(rho))))
+        gens.append(Matrix.from_blocks(block.field, dim, dim, blocks))
+    return SnRep(n, block.field, gens, dim=dim, check=False)
+
+
+def assert_same_induction(U, W):
+    block = external_tensor(U, W)
+    ind = induce_young(block)
+    expected = coset_induce_young(block)
+    assert (ind.n, ind.dim) == (expected.n, expected.dim)
+    assert [g.data for g in ind.gens] == [g.data for g in expected.gens]
+    ind.verify()
+
+
+KINDS = ("trivial", "sign", "natural", "regular")
+COSET_FIELDS = [QQ, GF(2), GF(5)]
+
+
+@pytest.mark.parametrize("field", COSET_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(ka=st.sampled_from(KINDS), a=st.integers(0, 3),
+       kb=st.sampled_from(KINDS), b=st.integers(0, 3))
+def test_induce_young_matches_the_coset_oracle(field, ka, a, kb, b):
+    assert_same_induction(basic_rep(ka, a, field), basic_rep(kb, b, field))
+
+
+@pytest.mark.parametrize("field", COSET_FIELDS, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kb=st.sampled_from(KINDS), b=st.integers(0, 3),
+       swap=st.booleans(), data=st.data())
+def test_induce_young_matches_the_coset_oracle_on_kernel_pieces(field, seed, kb, b,
+                                                                swap, data):
+    # a kernel piece is a subquotient rep in a basis no basic rep has
+    f = conftest.random_induced_morphism(field, random.Random(seed), window=3)
+    pieces = kernel(f)[0].pieces
+    a = data.draw(st.sampled_from([n for n in range(4) if pieces[n].dim] or [3]))
+    other = basic_rep(kb, b, field)
+    U, W = (other, pieces[a]) if swap else (pieces[a], other)
+    assert_same_induction(U, W)
