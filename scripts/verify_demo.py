@@ -26,7 +26,7 @@ def positive_part(field, window):
     A = fi_constant(field, window)
     f = induced_morphism(basic_rep("trivial", 1, field), A,
                          Matrix.from_rows(field, [[1]]))
-    return image(f)[0]
+    return image(f)
 
 
 def build_suite(field, window):

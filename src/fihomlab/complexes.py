@@ -98,12 +98,11 @@ def complex_cohomology(C: FIComplex) -> dict:
         for n in range(C.window + 1):
             subs.append(kernel_basis(C.diff_matrix(i, n)))
             killeds.append(C.diff_matrix(i - 1, n))
-        mod, _ = subquotient_module(
+        out[i] = subquotient_module(
             ambient, subs, killeds,
             torsion_hint=ambient.torsion_hint,
             valid_through=C.valid_through,
         )
-        out[i] = mod
     return out
 
 

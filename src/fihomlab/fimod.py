@@ -11,6 +11,11 @@ FI-module restricted to the window.
 ``valid_through`` tracks the degree up to which derived statements are
 certified; shifting consumes window, and every report downstream carries the
 resulting provenance.
+
+Kernels, images and cokernels are built, and verified, as subquotient
+modules; each constructor returns the module alone.  The torsion submodule
+is never built: :func:`torsion_submodule` gives its dimensions from ranks of
+composite steps, which is all that local cohomology reads of it.
 """
 from __future__ import annotations
 
@@ -298,12 +303,12 @@ def truncation_morphism(M: FIModule, c: int) -> FIMorphism:
 
 
 def subquotient_module(ambient: FIModule, subs, killeds=None, torsion_hint=False,
-                       valid_through=None) -> tuple[FIModule, list[SubquotientSpace]]:
+                       valid_through=None) -> FIModule:
     """FIModule structure on degreewise subquotients of an ambient module.
 
     The columns of ``subs[n]`` and ``killeds[n]`` span ambient subspaces;
     both families must be preserved by the group action and compatible with
-    the steps.
+    the steps (``SubquotientSpace.express`` raises otherwise).
     """
     field = ambient.field
     if killeds is None:
@@ -317,46 +322,32 @@ def subquotient_module(ambient: FIModule, subs, killeds=None, torsion_hint=False
         pieces.append(SnRep(n, field, gens, dim=sq.dim))
     steps = [sqs[n].induced_map(ambient.steps[n], sqs[n + 1])
              for n in range(ambient.window)]
-    mod = FIModule(field, ambient.window, pieces, steps,
-                   valid_through=ambient.valid_through if valid_through is None else valid_through,
-                   torsion_hint=torsion_hint)
-    return mod, sqs
+    return FIModule(field, ambient.window, pieces, steps,
+                    valid_through=ambient.valid_through if valid_through is None else valid_through,
+                    torsion_hint=torsion_hint)
 
 
-def kernel(f: FIMorphism) -> tuple[FIModule, FIMorphism]:
-    """Degreewise kernel with its inclusion into the source."""
+def kernel(f: FIMorphism) -> FIModule:
+    """Degreewise kernel, as a submodule of the source."""
     src = f.source
-    subs = [kernel_basis(f.maps[n]) for n in range(src.window + 1)]
-    vt = min(src.valid_through, f.target.valid_through)
-    mod, sqs = subquotient_module(src, subs, torsion_hint=src.torsion_hint,
-                                  valid_through=vt)
-    incl = FIMorphism(mod, src, [sq.reps for sq in sqs])
-    return mod, incl
+    subs = [kernel_basis(m) for m in f.maps]
+    return subquotient_module(src, subs, torsion_hint=src.torsion_hint,
+                              valid_through=min(src.valid_through, f.target.valid_through))
 
 
-def image(f: FIMorphism) -> tuple[FIModule, FIMorphism]:
-    """Degreewise image with its inclusion into the target."""
+def image(f: FIMorphism) -> FIModule:
+    """Degreewise image, as a submodule of the target."""
     tgt = f.target
-    vt = min(f.source.valid_through, tgt.valid_through)
-    mod, sqs = subquotient_module(tgt, f.maps, torsion_hint=tgt.torsion_hint,
-                                  valid_through=vt)
-    incl = FIMorphism(mod, tgt, [sq.reps for sq in sqs])
-    return mod, incl
+    return subquotient_module(tgt, f.maps, torsion_hint=tgt.torsion_hint,
+                              valid_through=min(f.source.valid_through, tgt.valid_through))
 
 
-def cokernel(f: FIMorphism) -> tuple[FIModule, FIMorphism]:
-    """Degreewise cokernel with the projection from the target."""
+def cokernel(f: FIMorphism) -> FIModule:
+    """Degreewise cokernel, as a quotient of the target."""
     tgt = f.target
     full = [Matrix.identity(tgt.field, tgt.dim(n)) for n in range(tgt.window + 1)]
-    vt = min(f.source.valid_through, tgt.valid_through)
-    mod, sqs = subquotient_module(tgt, full, f.maps, torsion_hint=tgt.torsion_hint,
-                                  valid_through=vt)
-    proj = FIMorphism(
-        tgt, mod,
-        [sqs[n].express(Matrix.identity(tgt.field, tgt.dim(n)))
-         for n in range(tgt.window + 1)],
-    )
-    return mod, proj
+    return subquotient_module(tgt, full, f.maps, torsion_hint=tgt.torsion_hint,
+                              valid_through=min(f.source.valid_through, tgt.valid_through))
 
 
 # -- induced morphisms ------------------------------------------------
@@ -432,48 +423,45 @@ def equivariant_hom_basis(V: SnRep, W: SnRep) -> list[Matrix]:
 
 @dataclass
 class TorsionPart:
-    module: FIModule
-    inclusion: FIMorphism
+    dims: list                # dimension of the torsion submodule per degree
     certified_through: int
+    maxdeg: MaxDeg
 
 
 def torsion_submodule(M: FIModule) -> TorsionPart:
-    """Elements killed by pushing to the end of the window.
+    """Dimensions of the elements killed by pushing to the end of the window.
 
-    A degree is certified only when the kernel of the push-forward has
-    stabilized over the last step of the window; finite windows cannot
-    witness torsion beyond that.
+    In degree n that is the nullity of the composite step from n to the
+    window end ``hi``.  A degree is certified only when that nullity has
+    stabilized over the last step of the window (the composite to ``hi - 1``
+    has the same rank); finite windows cannot witness torsion beyond that.
+    The torsion is zero at ``hi`` itself, so its maxdeg is certified.
     """
-    vt = M.valid_through
+    hi = M.valid_through
     if M.torsion_hint:
-        incl = FIMorphism(
-            M, M, [Matrix.identity(M.field, M.dim(n)) for n in range(M.window + 1)],
-            check=False,
-        )
-        return TorsionPart(M, incl, vt)
-    subs = []
+        return TorsionPart(M.dims(), hi, maxdeg(M))
+    dims = []
     certified_through = -1
     contiguous = True
     for n in range(M.window + 1):
-        hi = min(vt, M.window)
         if n > hi:
-            subs.append(Matrix.zeros(M.field, M.dim(n), 0))
+            dims.append(0)
             contiguous = False
             continue
-        full = kernel_basis(M.composite_step(n, hi))
         if n < hi:
-            shorter = kernel_basis(M.composite_step(n, hi - 1))
-            stable = full.cols == shorter.cols
-        else:
+            shorter = M.composite_step(n, hi - 1)
+            r = rank(M.steps[hi - 1] * shorter)
+            stable = r == rank(shorter)
+        else:  # the composite from hi to hi is the identity
+            r = M.dim(n)
             stable = M.dim(n) == 0
-        subs.append(full)
+        dims.append(M.dim(n) - r)
         if stable and contiguous:
             certified_through = n
         elif not stable:
             contiguous = False
-    mod, sqs = subquotient_module(M, subs, torsion_hint=True)
-    incl = FIMorphism(mod, M, [sq.reps for sq in sqs])
-    return TorsionPart(mod, incl, certified_through)
+    top = max((n for n, d in enumerate(dims) if d), default=-INF)
+    return TorsionPart(dims, certified_through, MaxDeg(top, True))
 
 
 def generation_degrees(M: FIModule) -> list[int]:

@@ -3,9 +3,12 @@
 The zeroth local cohomology is the torsion submodule.  Higher groups come
 from the recursion: shift until semi-induced, take the cokernel of the
 canonical map into the shift, and step the cohomological index down by one.
-Each level records its shift and cokernel, and the regularity identity is
-then checked against the Tor pipeline, with nu certificates distinguishing
-the contributing rows.
+Each level records its shift and cokernel dimensions.  Only the dimensions
+of each H^i are needed, so they come from ranks, and so does the kernel of
+the canonical map that cross-checks them; the cokernel the recursion walks
+on is the one module a level builds.  The regularity identity is then
+checked against the Tor pipeline, with nu certificates distinguishing the
+contributing rows.
 """
 from __future__ import annotations
 
@@ -17,16 +20,16 @@ from .complexes import FIComplex, complex_cohomology, hyper_tor, hyper_tor_rep
 from .fimod import (
     FIModule,
     InputError,
+    MaxDeg,
     WindowExhausted,
     cokernel,
     fi_shift,
-    kernel,
     maxdeg,
     natural_shift_map,
     torsion_submodule,
 )
 from .good_ideal import GoodIdeal, good_ideal, nu
-from .linalg import InvariantViolation
+from .linalg import InvariantViolation, rank
 from .tor import TorTable, regularity, tor_rep, tor_table
 
 INF = math.inf
@@ -81,8 +84,9 @@ def min_acyclic_shift(M: FIModule, policy: Policy | None = None) -> int:
 
 @dataclass
 class LocCohRow:
-    module: FIModule          # the torsion module H^i as computed
+    dims: list                # dimension of H^i per degree 0..window of its level
     certified_through: int
+    maxdeg: MaxDeg
 
 
 @dataclass
@@ -93,15 +97,9 @@ class LocCohTable:
     complete: bool            # False when the window or lcoh_i_max cut the recursion
     window: int
 
-    def dim(self, i, n):
-        row = self.rows.get(i)
-        return row.module.dim(n) if row and n <= row.module.window else 0
-
     def h(self, i):
         row = self.rows.get(i)
-        if row is None:
-            return -INF
-        return maxdeg(row.module).value
+        return -INF if row is None else row.maxdeg.value
 
     def max_h_plus_i(self):
         vals = [self.h(i) + i for i in self.rows if self.h(i) != -INF]
@@ -118,8 +116,9 @@ class LocCohTable:
 
 
 def local_cohomology(M: FIModule, policy: Policy | None = None) -> LocCohTable:
-    """All H^i via the shift recursion; H^0 is cross-checked against the
-    torsion submodule at every level."""
+    """The dimensions of all H^i via the shift recursion.  At every level the
+    torsion dimensions are cross-checked against the nullities of the
+    canonical map into the shift."""
     policy = policy or Policy()
     rows = {}
     trace = []
@@ -133,8 +132,8 @@ def local_cohomology(M: FIModule, policy: Policy | None = None) -> LocCohTable:
             complete = False
             break
         tp = torsion_submodule(cur)
-        if not tp.module.is_zero():
-            rows[level] = LocCohRow(tp.module, tp.certified_through)
+        if any(tp.dims):
+            rows[level] = LocCohRow(tp.dims, tp.certified_through, tp.maxdeg)
         try:
             b = min_acyclic_shift(cur, policy)
         except WindowExhausted:
@@ -142,16 +141,14 @@ def local_cohomology(M: FIModule, policy: Policy | None = None) -> LocCohTable:
             break
         nat = natural_shift_map(cur, b)
         # consistency: the kernel of the canonical map is the torsion submodule
-        ker_mod, _ = kernel(nat)
-        k_dims = ker_mod.dims()
-        t_dims = tp.module.dims()[: len(k_dims)]
+        k_dims = [nat.source.dim(n) - rank(m) for n, m in enumerate(nat.maps)]
+        t_dims = tp.dims[: len(k_dims)]
         if k_dims != t_dims:
             raise InvariantViolation(
                 f"recursion level {level}: ker(M -> shift) {k_dims} != torsion {t_dims}"
             )
-        coker_mod, _ = cokernel(nat)
-        trace.append((b, coker_mod.dims()))
-        cur = coker_mod
+        cur = cokernel(nat)
+        trace.append((b, cur.dims()))
         level += 1
     return LocCohTable(rows, level, trace, complete, M.window)
 
@@ -182,12 +179,6 @@ class TheoremReport:
     tor: TorTable
     lcoh: LocCohTable
     uncertified_rows: list
-
-    def summary(self):
-        return (
-            f"reg={self.lhs} rhs={self.rhs} t0={self.t0} "
-            f"max(h^i+i)={self.max_h_plus_i} verdict={self.verdict}"
-        )
 
 
 def verify_main_theorem(M: FIModule, policy: Policy | None = None,
@@ -281,8 +272,7 @@ def nu_certificate(X, gi: GoodIdeal, policy: Policy | None = None) -> list:
     """
     if isinstance(X, FIModule):
         if not X.torsion_hint:
-            tp = torsion_submodule(X)
-            if tp.module.dims() != X.dims():
+            if torsion_submodule(X).dims != X.dims():
                 raise InputError("nu_certificate on a module requires a torsion module")
         md = maxdeg(X)
         if md.value == -INF:

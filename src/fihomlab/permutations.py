@@ -99,13 +99,6 @@ def factor_adjacent(perm: Permutation) -> list[int]:
     return swaps[::-1]
 
 
-def compose_word(word, n) -> Permutation:
-    out = Permutation.identity(n)
-    for i in word:
-        out = out * Permutation.adjacent(i, n)
-    return out
-
-
 def all_permutations(n):
     """All of S_n in lexicographic order of one-line notation."""
     from itertools import permutations as _perms

@@ -55,7 +55,7 @@ def lcoh_data(table) -> dict:
         rows.append({
             "i": i,
             "h": enc(table.h(i)),
-            "dims": row.module.dims(),
+            "dims": row.dims,
             "certified_through": row.certified_through,
         })
     return {
@@ -193,6 +193,12 @@ def render_task_text(task: str, module, data: dict) -> str:
             parts.append(f"  p={p}: {flag} ({', '.join(k for k in sorted(checks) if k != 'all_pass')})")
         body = "good ideal axioms:\n" + "\n".join(parts)
     return head + "\n" + body
+
+
+# The version of the report layout above.  Cached task results are stored in
+# it, so it is part of every cache key: raise it with any change to what a
+# report holds, and entries in the old layout become misses.
+REPORT_SCHEMA = 1
 
 
 def dumps_report(obj: dict) -> str:

@@ -141,15 +141,6 @@ def restrict_rep(rep: SnRep, m: int) -> SnRep:
     return SnRep(m, rep.field, rep.gens[: max(m - 1, 0)], dim=rep.dim, check=False)
 
 
-def conjugate_rep(rep: SnRep, change: Matrix) -> SnRep:
-    """Same action in a new basis: generators become C^-1 g C."""
-    from .linalg import solve
-
-    inv = solve(change, Matrix.identity(rep.field, rep.dim))
-    gens = [inv * g * change for g in rep.gens]
-    return SnRep(rep.n, rep.field, gens, dim=rep.dim, check=False)
-
-
 class BlockRep:
     """An external tensor U boxtimes W: a representation of S_a x S_b, with
     (U basis) major and (W basis) minor."""

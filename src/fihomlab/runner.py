@@ -5,8 +5,9 @@ verified, 1 a verification failed, 2 the window was insufficient for a
 certified answer, 3 invalid input, 4 an internal failure (a broken
 invariant or oracle: a bug, never the input's fault); see
 :func:`failure_status`.  Task results are cached by a content
-hash of (package version, field, window, policy, construction), so entries
-written by another version are misses; set ``FIHOMLAB_CACHE_DIR``
+hash of (package version, report schema, field, window, policy,
+construction), so entries written by another version or in another report
+layout are misses; set ``FIHOMLAB_CACHE_DIR``
 to choose the cache location.  A corrupt entry counts as a miss.
 
 A job whose tasks all hit is answered from the cache without building its
@@ -50,6 +51,7 @@ from .jobspec import JobSpec
 from .linalg import Matrix
 from .loccoh import Policy, local_cohomology, nu_certificate, verify_main_theorem
 from .report import (
+    REPORT_SCHEMA,
     lcoh_data,
     nu_certs_data,
     regularity_data,
@@ -188,11 +190,11 @@ def build_objects(job: JobSpec) -> dict:
                 elif form == "truncate":
                     built[name] = fi_truncate(built[spec[1]], spec[2])
                 elif form == "kernel":
-                    built[name] = kernel(built[spec[1]])[0]
+                    built[name] = kernel(built[spec[1]])
                 elif form == "cokernel":
-                    built[name] = cokernel(built[spec[1]])[0]
+                    built[name] = cokernel(built[spec[1]])
                 elif form == "image":
-                    built[name] = image(built[spec[1]])[0]
+                    built[name] = image(built[spec[1]])
             else:
                 _, repname, target, entries = job.morphisms[name]
                 V = rep(repname)
@@ -303,6 +305,7 @@ def _closure_key(job: JobSpec, name) -> list:
 def _cache_key(job: JobSpec, task: str, construction) -> str:
     payload = {
         "version": __version__,
+        "schema": REPORT_SCHEMA,
         "field": job.field.name,
         "window": job.window,
         "policy": dict(sorted(job.policy.items())),

@@ -8,8 +8,8 @@ import pytest
 
 from fihomlab.fields import GF, QQ
 from fihomlab.fimod import direct_sum, equivariant_hom_basis, fi_induced, induced_morphism
-from fihomlab.linalg import Matrix, column_space_basis, rank
-from fihomlab.reps import basic_rep, conjugate_rep, direct_sum_reps
+from fihomlab.linalg import Matrix, column_space_basis, rank, solve
+from fihomlab.reps import SnRep, basic_rep, direct_sum_reps
 
 
 def assert_entry_types(field, m):
@@ -94,8 +94,10 @@ def random_rep(n, field, rng, max_summands=3):
         for _ in range(rng.randint(1, max_summands))
     ]
     rep = direct_sum_reps(summands) if len(summands) > 1 else summands[0]
+    # the same action in a new basis: generators become C^-1 g C
     change = random_invertible(field, rep.dim, rng)
-    return conjugate_rep(rep, change)
+    inv = solve(change, Matrix.identity(field, rep.dim))
+    return SnRep(n, field, [inv * g * change for g in rep.gens], dim=rep.dim, check=False)
 
 
 def orbit_span_subrep(rep, rng):

@@ -257,6 +257,17 @@ def test_cache_key_depends_on_the_package_version(monkeypatch):
     assert runner.task_cache_key(job, "tor", "A") != key
 
 
+def test_cache_key_depends_on_the_report_schema(monkeypatch):
+    from fihomlab import runner
+    from fihomlab.jobspec import parse_spec
+
+    job = parse_spec("field F5\nwindow 3\nmodule A constant\ntask tor A\n")
+    key = runner.task_cache_key(job, "tor", "A")
+    assert runner.task_cache_key(job, "tor", "A") == key
+    monkeypatch.setattr(runner, "REPORT_SCHEMA", runner.REPORT_SCHEMA + 1)
+    assert runner.task_cache_key(job, "tor", "A") != key
+
+
 # -- answering a fully cached job without building it -------------------
 
 # objects that no task names and that cannot be built, with the status of

@@ -1,9 +1,12 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import set_entry
+from conftest import random_induced_morphism, set_entry
 
+from fihomlab.fields import GF, QQ
 from fihomlab.fimod import (
     FIError,
     FIModule,
@@ -22,10 +25,11 @@ from fihomlab.fimod import (
     kernel,
     maxdeg,
     natural_shift_map,
+    subquotient_module,
     torsion_submodule,
     zero_module,
 )
-from fihomlab.linalg import Matrix
+from fihomlab.linalg import Matrix, kernel_basis
 from fihomlab.reps import basic_rep
 
 W = 5
@@ -62,13 +66,13 @@ def test_torsion_submodule_of_mixed_sum(field):
     T = fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, W)
     S = direct_sum(I, T)
     tp = torsion_submodule(S)
-    assert tp.module.dims() == T.dims()
+    assert tp.dims == T.dims()
     assert tp.certified_through >= 1
 
 
 def test_torsion_submodule_of_induced_is_zero(field):
     tp = torsion_submodule(fi_induced(basic_rep("natural", 1, field), W))
-    assert tp.module.is_zero()
+    assert not any(tp.dims)
 
 
 def test_maxdeg(field):
@@ -101,17 +105,17 @@ def test_natural_shift_map_kernel_is_torsion(field):
     T = fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, W)
     S = direct_sum(I, T)
     nat = natural_shift_map(S, 1)
-    ker, _ = kernel(nat)
-    assert ker.dims()[: W] == torsion_submodule(S).module.dims()[: W]
+    ker = kernel(nat)
+    assert ker.dims()[: W] == torsion_submodule(S).dims[: W]
 
 
 def test_kernel_image_cokernel_rank_additivity(field):
     A = fi_constant(field, W)
     V = basic_rep("trivial", 1, field)
     f = induced_morphism(V, A, Matrix.from_rows(field, [[1]]))
-    ker, _ = kernel(f)
-    img, _ = image(f)
-    cok, _ = cokernel(f)
+    ker = kernel(f)
+    img = image(f)
+    cok = cokernel(f)
     for n in range(W + 1):
         assert ker.dim(n) + img.dim(n) == f.source.dim(n)
         assert img.dim(n) + cok.dim(n) == f.target.dim(n)
@@ -143,3 +147,69 @@ def test_truncate_is_torsion(field):
     assert T.dims() == [1, 1, 1, 0, 0, 0]
     assert T.torsion_hint
     T.verify()
+
+
+# -- the subquotient torsion oracle --------------------------------------
+
+
+def subquotient_torsion(M):
+    """The torsion submodule built as a subquotient module of M, with the
+    degree through which it is certified: the oracle for the rank-based
+    ``torsion_submodule``."""
+    if M.torsion_hint:
+        return M, M.valid_through
+    hi = M.valid_through
+    subs = []
+    certified_through = -1
+    contiguous = True
+    for n in range(M.window + 1):
+        if n > hi:
+            subs.append(Matrix.zeros(M.field, M.dim(n), 0))
+            contiguous = False
+            continue
+        full = kernel_basis(M.composite_step(n, hi))
+        if n < hi:
+            stable = full.cols == kernel_basis(M.composite_step(n, hi - 1)).cols
+        else:
+            stable = M.dim(n) == 0
+        subs.append(full)
+        if stable and contiguous:
+            certified_through = n
+        elif not stable:
+            contiguous = False
+    return subquotient_module(M, subs, torsion_hint=True), certified_through
+
+
+def assert_torsion_matches_oracle(M):
+    tp = torsion_submodule(M)
+    T, certified_through = subquotient_torsion(M)
+    assert tp.dims == T.dims()
+    assert tp.certified_through == certified_through
+    assert tp.maxdeg == maxdeg(T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from([QQ, GF(5)]), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["kernel", "cokernel"]), a=st.integers(0, 2),
+       b=st.integers(1, 2), top=st.none() | st.integers(0, W - 1))
+def test_torsion_matches_the_subquotient_oracle(field, seed, kind, a, b, top):
+    f = random_induced_morphism(field, random.Random(seed))
+    M = (kernel if kind == "kernel" else cokernel)(f)
+    if top is not None:
+        # torsion in degrees 0..top, which dies at the window end when
+        # top = W - 1, so that those degrees are not certified
+        M = direct_sum(M, fi_truncate(fi_constant(field, W), top))
+    assert_torsion_matches_oracle(M)
+    S = fi_shift(M, a)
+    assert_torsion_matches_oracle(S)
+    # the module the recursion steps to: the cokernel into a further shift
+    assert_torsion_matches_oracle(cokernel(natural_shift_map(S, min(b, S.valid_through))))
+
+
+def test_torsion_matches_the_subquotient_oracle_on_shifts(field):
+    T = fi_torsion_concentrated(basic_rep("regular", 2, field), 2, W)
+    I = fi_induced(basic_rep("sign", 2, field), W)
+    for M in (fi_constant(field, W), T, fi_truncate(fi_constant(field, W), 2),
+              direct_sum(I, T), direct_sum(I, fi_truncate(fi_constant(field, W), W - 1))):
+        for a in range(3):
+            assert_torsion_matches_oracle(fi_shift(M, a))

@@ -1,9 +1,13 @@
 """Golden reports: ``report.json`` and ``report.txt`` must stay byte-identical.
 
-``tests/golden/`` holds the reports of three cold runs:
+``tests/golden/`` holds the reports of these cold runs:
 
 - ``example/``:    ``fihomlab run scripts/example.job``
 - ``example-q/``:  ``fihomlab run scripts/example.job --field Q``
+- ``example-lcoh/``:   ``fihomlab lcoh scripts/example.job``
+- ``example-lcoh-q/``: ``fihomlab lcoh scripts/example.job --field Q``
+- ``example-nu/``: ``fihomlab nu scripts/example.job`` (four of its six
+  modules are not torsion and are refused as invalid input)
 - ``suite/<name>/``: ``fihomlab suite``, one directory per corpus entry
 
 A change that alters a report on purpose regenerates these files with the
@@ -23,6 +27,9 @@ EXAMPLE = str(ROOT / "scripts" / "example.job")
 RUNS = {
     "example": ["run", EXAMPLE],
     "example-q": ["run", EXAMPLE, "--field", "Q"],
+    "example-lcoh": ["lcoh", EXAMPLE],
+    "example-lcoh-q": ["lcoh", EXAMPLE, "--field", "Q"],
+    "example-nu": ["nu", EXAMPLE],
     "suite": ["suite"],
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,7 +15,8 @@ from fihomlab.fimod import (
 )
 from fihomlab.good_ideal import good_ideal
 from fihomlab.jobspec import parse_spec
-from fihomlab.linalg import Matrix
+from fihomlab import loccoh
+from fihomlab.linalg import InvariantViolation, Matrix
 from fihomlab.loccoh import (
     is_semi_induced,
     local_cohomology,
@@ -32,7 +34,7 @@ def positive_part(field, window=W):
     A = fi_constant(field, window)
     f = induced_morphism(basic_rep("trivial", 1, field), A,
                          Matrix.from_rows(field, [[1]]))
-    return image(f)[0]
+    return image(f)
 
 
 def test_semi_induced_detection(field):
@@ -57,8 +59,27 @@ def test_local_cohomology_of_torsion_is_itself(field):
     T = fi_torsion_concentrated(basic_rep("regular", 2, field), 2, W)
     table = local_cohomology(T)
     assert list(table.rows) == [0]
-    assert table.rows[0].module.dims() == T.dims()
+    assert table.rows[0].dims == T.dims()
     assert table.h(0) == 2 and table.max_h_plus_i() == 2
+
+
+def test_torsion_unlike_the_kernel_of_the_shift_map_is_an_invariant_violation(
+        field, monkeypatch):
+    # the torsion dims and the nullities of M -> shift_b(M) are computed
+    # apart; a torsion computation off by one in degree 1 must not pass
+    real = loccoh.torsion_submodule
+
+    def off_by_one(M):
+        tp = real(M)
+        dims = [d + (n == 1) for n, d in enumerate(tp.dims)]
+        return dataclasses.replace(tp, dims=dims)
+
+    M = direct_sum(fi_induced(basic_rep("sign", 2, field), W),
+                   fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, W))
+    assert local_cohomology(M).rows[0].dims == [0, 1, 0, 0, 0, 0, 0]
+    monkeypatch.setattr(loccoh, "torsion_submodule", off_by_one)
+    with pytest.raises(InvariantViolation, match="ker"):
+        local_cohomology(M)
 
 
 def test_positive_part_has_h1_in_degree_zero(field):

@@ -148,7 +148,7 @@ def _random_module(kind, field, rng, window=4):
     f = random_induced_morphism(field, rng, window)
     if kind == "complex":
         return FIComplex({0: f.source, 1: f.target}, {0: f})
-    return (kernel if kind == "kernel" else cokernel)(f)[0]
+    return (kernel if kind == "kernel" else cokernel)(f)
 
 
 @settings(max_examples=40, deadline=None)
