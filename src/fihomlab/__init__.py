@@ -69,7 +69,7 @@ from .tor import (
     tor_rep,
     tor_table,
 )
-from .complexes import FIComplex, complex_cohomology, hyper_tor, hyper_tor_rep
+from .complexes import FIComplex, hyper_tor, hyper_tor_rep
 from .loccoh import (
     LocCohTable,
     NuCertificate,

@@ -254,9 +254,9 @@ def fi_shift(M: FIModule, a: int) -> FIModule:
     )
 
 
-def natural_shift_map(M: FIModule, b: int) -> FIMorphism:
-    """The canonical map M -> shift_b(M): the composite of b step maps."""
-    S = fi_shift(M, b)
+def natural_shift_map(M: FIModule, S: FIModule) -> FIMorphism:
+    """The canonical map M -> S = fi_shift(M, b): the composite of b step maps."""
+    b = M.window - S.window
     base = fi_truncate_window(M, S.window)
     maps = [M.composite_step(n, n + b) for n in range(S.window + 1)]
     return FIMorphism(base, S, maps)
@@ -460,8 +460,12 @@ def torsion_submodule(M: FIModule) -> TorsionPart:
             certified_through = n
         elif not stable:
             contiguous = False
-    top = max((n for n, d in enumerate(dims) if d), default=-INF)
-    return TorsionPart(dims, certified_through, MaxDeg(top, True))
+    return TorsionPart(dims, certified_through, MaxDeg(last_nonzero(dims), True))
+
+
+def last_nonzero(dims) -> float:
+    """The last degree with a nonzero dimension, or -inf when there is none."""
+    return max((n for n, d in enumerate(dims) if d), default=-INF)
 
 
 def generation_degrees(M: FIModule) -> list[int]:
@@ -505,12 +509,13 @@ def maxdeg(M: FIModule) -> MaxDeg:
     """Maximum degree where the module is nonzero: -inf for zero, +inf when
     certified by step maps being isomorphisms at the window end."""
     vt = M.valid_through
-    nonzero = [n for n in range(vt + 1) if M.dim(n) > 0]
-    if not nonzero:
+    m = last_nonzero(M.dims()[: vt + 1])
+    if m == -INF:
         return MaxDeg(-INF, True)
-    m = nonzero[-1]
     if m < vt:
-        return MaxDeg(m, M.torsion_hint or _zero_tail_certified(M, m))
+        # pieces vanish strictly above m through the window end; within-window
+        # vanishing can only recur via new generators, which the window shows
+        return MaxDeg(m, M.torsion_hint or not any(M.dims()[m + 1:]))
     # nonzero at the window end: +inf only if the last two steps are isomorphisms
     if vt >= 2:
         iso = all(
@@ -520,9 +525,3 @@ def maxdeg(M: FIModule) -> MaxDeg:
         if iso:
             return MaxDeg(INF, True)
     return MaxDeg(m, False)
-
-
-def _zero_tail_certified(M: FIModule, m: int) -> bool:
-    # pieces vanish strictly above m through the window end; within-window
-    # vanishing can only recur via new generators, which the window shows
-    return all(M.dim(n) == 0 for n in range(m + 1, M.window + 1))

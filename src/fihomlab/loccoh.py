@@ -3,12 +3,12 @@
 The zeroth local cohomology is the torsion submodule.  Higher groups come
 from the recursion: shift until semi-induced, take the cokernel of the
 canonical map into the shift, and step the cohomological index down by one.
-Each level records its shift and cokernel dimensions.  Only the dimensions
-of each H^i are needed, so they come from ranks, and so does the kernel of
-the canonical map that cross-checks them; the cokernel the recursion walks
-on is the one module a level builds.  The regularity identity is then
-checked against the Tor pipeline, with nu certificates distinguishing the
-contributing rows.
+Each level runs one shift search, which ends the recursion at b = 0, and
+records its shift and cokernel dimensions.  Only the dimensions of each H^i
+are needed, so they come from ranks, as does the kernel of the canonical
+map that cross-checks them; the shift and its cokernel are the modules a
+level builds.  The regularity identity is then checked against the Tor
+pipeline, with nu certificates distinguishing the contributing rows.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .complexes import FIComplex, complex_cohomology, hyper_tor, hyper_tor_rep
+from .complexes import FIComplex, cohomology_dims, hyper_tor, hyper_tor_rep
 from .fimod import (
     FIModule,
     InputError,
@@ -24,6 +24,7 @@ from .fimod import (
     WindowExhausted,
     cokernel,
     fi_shift,
+    last_nonzero,
     maxdeg,
     natural_shift_map,
     torsion_submodule,
@@ -68,17 +69,15 @@ def is_semi_induced(M: FIModule, policy: Policy | None = None) -> str:
     return "yes"
 
 
-def min_acyclic_shift(M: FIModule, policy: Policy | None = None) -> int:
-    """Least b with shift_b(M) testing semi-induced."""
+def min_acyclic_shift(M: FIModule, policy: Policy | None = None) -> tuple[int, FIModule]:
+    """``(b, S)``: the least b with ``S = fi_shift(M, b)`` testing semi-induced."""
     policy = policy or Policy()
-    last = -1
     for b in range(M.valid_through + 1):
-        verdict = is_semi_induced(fi_shift(M, b), policy)
-        last = b
-        if verdict == "yes":
-            return b
+        S = fi_shift(M, b)
+        if is_semi_induced(S, policy) == "yes":
+            return b, S
     raise WindowExhausted(
-        f"no semi-induced shift found up to b = {last}; window insufficient"
+        f"no semi-induced shift found up to b = {M.valid_through}; window insufficient"
     )
 
 
@@ -126,7 +125,11 @@ def local_cohomology(M: FIModule, policy: Policy | None = None) -> LocCohTable:
     level = 0
     complete = True
     while True:
-        if is_semi_induced(cur, policy) == "yes":
+        try:
+            b, S = min_acyclic_shift(cur, policy)
+        except WindowExhausted:
+            b = S = None
+        if b == 0:  # semi-induced
             break
         if level > policy.lcoh_i_max:
             complete = False
@@ -134,12 +137,10 @@ def local_cohomology(M: FIModule, policy: Policy | None = None) -> LocCohTable:
         tp = torsion_submodule(cur)
         if any(tp.dims):
             rows[level] = LocCohRow(tp.dims, tp.certified_through, tp.maxdeg)
-        try:
-            b = min_acyclic_shift(cur, policy)
-        except WindowExhausted:
+        if S is None:  # the search exhausted the window
             complete = False
             break
-        nat = natural_shift_map(cur, b)
+        nat = natural_shift_map(cur, S)
         # consistency: the kernel of the canonical map is the torsion submodule
         k_dims = [nat.source.dim(n) - rank(m) for n, m in enumerate(nat.maps)]
         t_dims = tp.dims[: len(k_dims)]
@@ -262,6 +263,10 @@ def _nu_cert(rep_of, n: int, rho: int, expected, gi: GoodIdeal) -> NuCertificate
     return NuCertificate(n, deg, expected, got, "ok" if got == expected else "mismatch")
 
 
+def _is_torsion(M: FIModule) -> bool:
+    return M.torsion_hint or torsion_submodule(M).dims == M.dims()
+
+
 def nu_certificate(X, gi: GoodIdeal, policy: Policy | None = None) -> list:
     """Certificates for the nu values of top-degree Tor pieces.
 
@@ -271,9 +276,8 @@ def nu_certificate(X, gi: GoodIdeal, policy: Policy | None = None) -> list:
     piece also satisfies the lower bound n + min support index).
     """
     if isinstance(X, FIModule):
-        if not X.torsion_hint:
-            if torsion_submodule(X).dims != X.dims():
-                raise InputError("nu_certificate on a module requires a torsion module")
+        if not _is_torsion(X):
+            raise InputError("nu_certificate on a module requires a torsion module")
         md = maxdeg(X)
         if md.value == -INF:
             return []
@@ -282,12 +286,12 @@ def nu_certificate(X, gi: GoodIdeal, policy: Policy | None = None) -> list:
                 for n in range(0, X.valid_through - rho + 1)]
     # complex case
     C: FIComplex = X
-    coh = complex_cohomology(C)
-    vals = {i: maxdeg(h).value for i, h in coh.items()}
-    finite = {i: v for i, v in vals.items() if v != -INF}
+    if not all(_is_torsion(t) for t in C.terms.values()):
+        raise InputError("nu_certificate on a complex requires torsion terms")
+    finite = {i: last_nonzero(dims) for i, dims in cohomology_dims(C).items() if any(dims)}
     if not finite:
         return []
-    rho = int(max(i + v for i, v in finite.items()))
+    rho = max(i + v for i, v in finite.items())
     r = min(i for i, v in finite.items() if i + v == rho)
     m = C.min_support()
     i_cap = max(C.valid_through - rho, 0)

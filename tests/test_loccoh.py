@@ -5,6 +5,7 @@ import pytest
 
 from fihomlab.complexes import FIComplex
 from fihomlab.fimod import (
+    InputError,
     WindowExhausted,
     direct_sum,
     fi_constant,
@@ -18,6 +19,7 @@ from fihomlab.jobspec import parse_spec
 from fihomlab import loccoh
 from fihomlab.linalg import InvariantViolation, Matrix
 from fihomlab.loccoh import (
+    Policy,
     is_semi_induced,
     local_cohomology,
     min_acyclic_shift,
@@ -45,9 +47,9 @@ def test_semi_induced_detection(field):
 
 
 def test_min_acyclic_shift(field):
-    assert min_acyclic_shift(fi_constant(field, W)) == 0
+    assert min_acyclic_shift(fi_constant(field, W))[0] == 0
     T = fi_torsion_concentrated(basic_rep("trivial", 2, field), 2, W)
-    assert min_acyclic_shift(T) == 3  # the shift must clear the torsion entirely
+    assert min_acyclic_shift(T)[0] == 3  # the shift must clear the torsion entirely
 
 
 def test_local_cohomology_of_constant_vanishes(field):
@@ -87,6 +89,31 @@ def test_positive_part_has_h1_in_degree_zero(field):
     assert list(table.rows) == [1]
     assert table.h(1) == 0
     assert table.max_h_plus_i() == 1
+
+
+# the level-1 cokernel of Aplus is k in degree 0; its shift Σ_1 is zero
+# and semi-induced, so the recursion ends at level 2 unless the cap cuts it
+LEVEL_1 = (1, [1, 0, 0, 0, 0, 0])
+LEVEL_2 = (1, [0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("cap, complete, depth, rows, trace", [
+    (0, False, 1, {}, [LEVEL_1]),
+    (1, True, 2, {1: [1, 0, 0, 0, 0, 0]}, [LEVEL_1, LEVEL_2]),
+    (2, True, 2, {1: [1, 0, 0, 0, 0, 0]}, [LEVEL_1, LEVEL_2]),
+])
+def test_recursion_depth_cap(field, cap, complete, depth, rows, trace):
+    table = local_cohomology(positive_part(field), Policy(lcoh_i_max=cap))
+    assert (table.complete, table.depth) == (complete, depth)
+    assert {i: row.dims for i, row in table.rows.items()} == rows
+    assert table.trace == trace
+
+
+def test_recursion_keeps_the_torsion_row_when_the_search_exhausts_the_window(field):
+    T = fi_torsion_concentrated(basic_rep("trivial", 2, field), 2, 2)
+    table = local_cohomology(T)
+    assert (table.complete, table.depth, table.trace) == (False, 0, [])
+    assert {i: row.dims for i, row in table.rows.items()} == {0: [0, 0, 1]}
 
 
 def test_theorem_on_constant(field):
@@ -153,8 +180,21 @@ def test_nu_certificates_on_torsion_module(field):
 
 def test_nu_certificate_rejects_non_torsion(field):
     gi = good_ideal(2, field)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         nu_certificate(fi_constant(field, W), gi)
+
+
+@pytest.mark.parametrize("make", [
+    lambda field: fi_constant(field, 5),
+    lambda field: fi_induced(basic_rep("sign", 2, field), 5),
+], ids=["constant", "induced"])
+def test_nu_certificate_rejects_a_complex_with_a_non_torsion_term(field, make):
+    gi = good_ideal(2, field)
+    with pytest.raises(InputError, match="torsion"):
+        nu_certificate(FIComplex.single(make(field)), gi)
+    T = fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 5)
+    with pytest.raises(InputError, match="torsion"):
+        nu_certificate(FIComplex({0: T, 1: make(field)}), gi)
 
 
 def test_nu_certificates_on_single_term_complex(field):

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import assert_entry_types, entry, random_induced_morphism, random_rep, set_entry
 
 import fihomlab.complexes as complexes
+import fihomlab.fimod as fimod
+import fihomlab.loccoh as loccoh
 import fihomlab.tor as tor
 from fihomlab.complexes import (
     FIComplex,
@@ -25,6 +27,8 @@ from fihomlab.fimod import (
     fi_induced,
     fi_torsion_concentrated,
     generation_degrees,
+    image,
+    induced_morphism,
     kernel,
 )
 from fihomlab.fields import GF, QQ
@@ -243,6 +247,53 @@ def test_verify_runs_the_generator_oracle_once_per_module(monkeypatch):
     assert verify_main_theorem(mix).verdict == "PASS"
     assert calls[id(mix)] == 1 and max(calls.values()) == 1
     assert mix.generators == oracle(mix)
+
+
+def _recursion_inputs(field, window):
+    A = fi_constant(field, window)
+    aplus = image(induced_morphism(basic_rep("trivial", 1, field), A,
+                                   Matrix.from_rows(field, [[1]])))
+    mix = direct_sum(
+        fi_induced(basic_rep("sign", 2, field), window),
+        fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, window),
+    )
+    return {"Aplus": aplus, "Mix": mix}
+
+
+@pytest.mark.parametrize("name", ["Aplus", "Mix"])
+def test_verify_builds_each_shift_once(monkeypatch, name):
+    M = _recursion_inputs(GF(5), 7)[name]
+    calls = Counter()
+    seen = []  # keeps every argument alive, so that ids stay distinct
+    shift = fimod.fi_shift
+
+    def counting(X, b):
+        seen.append(X)
+        if b > 0:
+            calls[(id(X), b)] += 1
+        return shift(X, b)
+
+    monkeypatch.setattr(fimod, "fi_shift", counting)
+    monkeypatch.setattr(loccoh, "fi_shift", counting)
+    assert verify_main_theorem(M).verdict == "PASS"
+    assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("name", ["Aplus", "Mix"])
+def test_verify_tests_each_module_for_semi_inducedness_once(monkeypatch, name):
+    M = _recursion_inputs(GF(5), 7)[name]
+    calls = Counter()
+    seen = []  # keeps every argument alive, so that ids stay distinct
+    test = loccoh.is_semi_induced
+
+    def counting(X, policy=None):
+        seen.append(X)
+        calls[id(X)] += 1
+        return test(X, policy)
+
+    monkeypatch.setattr(loccoh, "is_semi_induced", counting)
+    assert verify_main_theorem(M).verdict == "PASS"
+    assert calls and max(calls.values()) == 1
 
 
 def test_total_strands_are_built_once_per_complex_and_degree(monkeypatch):
