@@ -14,6 +14,7 @@ from pathlib import Path
 from .jobspec import JobSpec, SpecParseError, parse_spec
 from .runner import (
     EXIT_INVALID_INPUT,
+    GRAVITY,
     RunResult,
     run_job,
 )
@@ -165,7 +166,7 @@ def main(argv=None) -> int:
                 print(f"[{name}]")
                 sub_args = argparse.Namespace(
                     out=str(Path(args.out) / name) if args.out else None)
-                code = max(code, _emit(result, sub_args))
+                code = max(code, _emit(result, sub_args), key=GRAVITY.index)
             return code
     except SpecParseError as exc:
         for ln, msg in exc.errors:

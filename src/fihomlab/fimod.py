@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .linalg import (
     Matrix,
@@ -30,7 +31,6 @@ from .linalg import (
     kernel_basis,
     rank,
 )
-from .permutations import Permutation
 from .reps import (
     SnRep,
     basic_rep,
@@ -173,8 +173,6 @@ def fi_induced(V: SnRep, window: int) -> FIModule:
     (d-subset of {1..n}, basis vector of V) and the step maps are the
     subset-inclusion maps.
     """
-    from itertools import combinations
-
     d = V.n
     field = V.field
     if d > window:
@@ -235,7 +233,8 @@ def direct_sum(M: FIModule, N: FIModule) -> FIModule:
 
 
 def fi_shift(M: FIModule, a: int) -> FIModule:
-    """Shift: evaluate on the disjoint union with ``a`` extra letters (the last ones)."""
+    """Shift: evaluate on the disjoint union with ``a`` extra letters (the last ones).
+    Its step at degree n is M's, then ``(n+1 ... n+a+1) = s_{n+1} ... s_{n+a}``."""
     if a < 0:
         raise InputError("negative shift")
     if a > M.valid_through:
@@ -246,8 +245,10 @@ def fi_shift(M: FIModule, a: int) -> FIModule:
     pieces = [restrict_rep(M.pieces[n + a], n) for n in range(window + 1)]
     steps = []
     for n in range(window):
-        cyc = Permutation.cycle(list(range(n + 1, n + a + 2)), n + a + 1)
-        steps.append(M.pieces[n + a + 1].perm_matrix(cyc) * M.steps[n + a])
+        gens, step = M.pieces[n + a + 1].gens, M.steps[n + a]
+        for k in range(n + a, n, -1):
+            step = gens[k - 1] * step
+        steps.append(step)
     return FIModule(
         M.field, window, pieces, steps,
         valid_through=M.valid_through - a, torsion_hint=M.torsion_hint,
@@ -356,10 +357,11 @@ def cokernel(f: FIMorphism) -> FIModule:
 def induced_morphism(V: SnRep, target: FIModule, f0: Matrix) -> FIMorphism:
     """The unique morphism I(V) -> target extending an equivariant map f0.
 
-    ``f0`` maps V into the target piece at degree d = V.n.
+    ``f0`` maps V into the target piece at degree d = V.n.  The block of a
+    d-subset s is ``g_s`` times f0 pushed up by the steps, ``g_s`` sending
+    1..d onto s in order.  Lowering a letter x of s to a free x - 1 gives an
+    earlier s' with ``g_s = s_{x-1} g_{s'}``, so each block is one product.
     """
-    from itertools import combinations
-
     d = V.n
     field = V.field
     if (f0.rows, f0.cols) != (target.dim(d), V.dim):
@@ -373,13 +375,15 @@ def induced_morphism(V: SnRep, target: FIModule, f0: Matrix) -> FIMorphism:
         if n < d:
             maps.append(Matrix.zeros(field, target.dim(n), 0))
             continue
-        comp = target.composite_step(d, n) * f0
-        cols = []
+        seed = f0 if n == d else target.steps[n - 1] * seed
+        gens, blocks = target.pieces[n].gens, {}
         for s in combinations(range(1, n + 1), d):
-            rest = [x for x in range(1, n + 1) if x not in set(s)]
-            g_s = target.pieces[n].perm_matrix(Permutation(list(s) + rest))
-            cols.extend((g_s * comp).columns())
-        maps.append(Matrix.from_columns(field, cols, nrows=target.dim(n)))
+            # s[:k] is 1..k, so x = s[k] is the least letter with x - 1 outside s
+            k = next((j for j, x in enumerate(s) if x != j + 1), d)
+            blocks[s] = (seed if k == d
+                         else gens[s[k] - 2] * blocks[s[:k] + (s[k] - 1,) + s[k + 1:]])
+        maps.append(Matrix.from_blocks(field, target.dim(n), source.dim(n), [
+            (0, c * V.dim, blk) for c, blk in enumerate(blocks.values())]))
     return FIMorphism(source, target, maps)
 
 

@@ -70,10 +70,11 @@ def is_semi_induced(M: FIModule, policy: Policy | None = None) -> str:
 
 
 def min_acyclic_shift(M: FIModule, policy: Policy | None = None) -> tuple[int, FIModule]:
-    """``(b, S)``: the least b with ``S = fi_shift(M, b)`` testing semi-induced."""
+    """``(b, S)``: the least b with ``S = fi_shift(M, b)`` testing semi-induced;
+    each probe is the last one shifted by one."""
     policy = policy or Policy()
     for b in range(M.valid_through + 1):
-        S = fi_shift(M, b)
+        S = fi_shift(S, 1) if b else M
         if is_semi_induced(S, policy) == "yes":
             return b, S
     raise WindowExhausted(
@@ -293,8 +294,10 @@ def nu_certificate(X, gi: GoodIdeal, policy: Policy | None = None) -> list:
         return []
     rho = max(i + v for i, v in finite.items())
     r = min(i for i, v in finite.items() if i + v == rho)
+    if rho > C.valid_through:  # no certificate fits in the window
+        return []
     m = C.min_support()
-    i_cap = max(C.valid_through - rho, 0)
+    i_cap = C.valid_through - rho
     table = hyper_tor(C, i_cap)
 
     def rep_of(n, deg):
@@ -302,8 +305,6 @@ def nu_certificate(X, gi: GoodIdeal, policy: Policy | None = None) -> list:
 
     certs = []
     for n in range(0, i_cap + 1):
-        if n + rho > C.valid_through:
-            continue
         cert = _nu_cert(rep_of, n, rho, n + r, gi)
         if cert.status == "ok" and m is not None and not cert.computed >= n + m:
             cert.status = "mismatch"

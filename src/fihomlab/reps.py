@@ -1,10 +1,12 @@
 """Symmetric group representations and Young-subgroup induction.
 
 An :class:`SnRep` stores only the matrices of the adjacent transpositions
-``s_1 .. s_{n-1}``; arbitrary permutations act through
-:func:`~fihomlab.permutations.factor_adjacent`.  Construction verifies the
-Coxeter relations (involutions, braid, distant commutation), which certifies
-a well-defined S_n-action.
+``s_1 .. s_{n-1}``.  Construction verifies the Coxeter relations
+(involutions, braid, distant commutation), which certifies a well-defined
+S_n-action.  Modules, strands and morphisms move vectors by one generator
+product from a neighbouring permutation; only :func:`act` (good ideals) and
+the test oracles multiply out a word of
+:func:`~fihomlab.permutations.factor_adjacent`, in :meth:`SnRep.perm_matrix`.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from itertools import combinations
 
 from .fields import Field, FieldError
 from .group_algebra import GroupAlgebraElement
-from .linalg import Matrix, kronecker
-from .permutations import Permutation, factor_adjacent
+from .linalg import Matrix, block_diag, kronecker
+from .permutations import Permutation, all_permutations, factor_adjacent
 
 
 class RepError(ValueError):
@@ -22,7 +24,7 @@ class RepError(ValueError):
 
 
 class SnRep:
-    __slots__ = ("n", "dim", "field", "gens", "_perm_cache")
+    __slots__ = ("n", "dim", "field", "gens")
 
     def __init__(self, n, field, gens, dim=None, check=True):
         self.n = n
@@ -33,7 +35,6 @@ class SnRep:
         if dim is None:
             dim = self.gens[0].rows if self.gens else 0
         self.dim = dim
-        self._perm_cache = {}
         if check:
             self.verify()
 
@@ -57,14 +58,9 @@ class SnRep:
     def perm_matrix(self, perm: Permutation) -> Matrix:
         if perm.n != self.n:
             raise RepError("degree mismatch")
-        key = perm.images
-        cached = self._perm_cache.get(key)
-        if cached is not None:
-            return cached
         out = Matrix.identity(self.field, self.dim)
         for i in factor_adjacent(perm):
             out = out * self.gens[i - 1]
-        self._perm_cache[key] = out
         return out
 
     def is_zero(self):
@@ -106,8 +102,6 @@ def basic_rep(kind: str, n: int, field: Field) -> SnRep:
             gens.append(Matrix(field, n, n, rows))
         return SnRep(n, field, gens, dim=n)
     if kind == "regular":
-        from .permutations import all_permutations
-
         elems = all_permutations(n)
         index = {p.images: k for k, p in enumerate(elems)}
         gens = []
@@ -126,8 +120,6 @@ def direct_sum_reps(reps) -> SnRep:
     if not reps:
         raise RepError("empty direct sum")
     n, field = reps[0].n, reps[0].field
-    from .linalg import block_diag
-
     gens = []
     for i in range(max(n - 1, 0)):
         gens.append(block_diag(field, [r.gens[i] for r in reps]))

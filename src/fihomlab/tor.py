@@ -20,7 +20,6 @@ from .linalg import (
     kernel_basis,
     rank,
 )
-from .permutations import Permutation
 from .reps import SnRep, basic_rep, external_tensor, induce_young, zero_rep
 
 INF = math.inf
@@ -79,7 +78,10 @@ def _koszul_term(pieces, n, field, i) -> SnRep:
 
 def koszul_strand(M: FIModule, n: int, deep: bool = False) -> StrandComplex:
     """Build and d^2-check the degree-n strand afresh; :func:`cached_strand`
-    reuses one."""
+    reuses one.  A local block inserts a letter at point q: the step into
+    degree m = n - i + 1, then the cycle ``(q ... m) = s_q (q+1 ... m)``, so
+    each block is one generator times the next, down from the step at q = m.
+    """
     if n > M.valid_through:
         raise TorError(f"strand at degree {n} needs valid window >= {n}")
     field = M.field
@@ -92,12 +94,9 @@ def koszul_strand(M: FIModule, n: int, deep: bool = False) -> StrandComplex:
         if dim_m and dim_m1:
             # the local block depends only on the insertion point q, and
             # its sign only on the parity of the letter's position j
-            local_at = [
-                M.pieces[n - i + 1].perm_matrix(
-                    Permutation.cycle(list(range(q, n - i + 2)), n - i + 1)
-                ) * M.steps[n - i]
-                for q in range(1, n - i + 2)
-            ]
+            local_at = [M.steps[n - i]]
+            for g in reversed(M.pieces[n - i + 1].gens):
+                local_at.insert(0, g * local_at[0])
             signed = [local_at, [loc.scale(field.of(-1)) for loc in local_at]]
             subs_i1 = combinations(range(1, n + 1), i - 1)
             idx1 = {s: k for k, s in enumerate(subs_i1)}

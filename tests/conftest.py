@@ -7,7 +7,17 @@ from fractions import Fraction
 import pytest
 
 from fihomlab.fields import GF, QQ
-from fihomlab.fimod import direct_sum, equivariant_hom_basis, fi_induced, induced_morphism
+from fihomlab.fimod import (
+    cokernel,
+    direct_sum,
+    equivariant_hom_basis,
+    fi_constant,
+    fi_induced,
+    fi_torsion_concentrated,
+    image,
+    induced_morphism,
+    kernel,
+)
 from fihomlab.linalg import Matrix, column_space_basis, rank, solve
 from fihomlab.reps import SnRep, basic_rep, direct_sum_reps
 
@@ -136,6 +146,32 @@ def random_induced_morphism(field, rng, window=5):
         if f0.is_zero():
             continue
         return induced_morphism(V, target, f0)
+
+
+def recursion_inputs(field, window):
+    """Aplus, the image of I(triv_1) in the constant module, and
+    Mix = I(sgn_2) + T(triv_1 @ 1): modules whose local cohomology recursion
+    runs more than one level."""
+    A = fi_constant(field, window)
+    aplus = image(induced_morphism(basic_rep("trivial", 1, field), A,
+                                   Matrix.from_rows(field, [[1]])))
+    mix = direct_sum(
+        fi_induced(basic_rep("sign", 2, field), window),
+        fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, window),
+    )
+    return {"Aplus": aplus, "Mix": mix}
+
+
+ORACLE_KINDS = ("kernel", "cokernel", "Aplus", "Mix")
+
+
+def oracle_module(kind, field, rng, window=5):
+    """One of ``ORACLE_KINDS``: a random kernel or cokernel of an induced
+    morphism, or Aplus or Mix, whose steps are not subset inclusions."""
+    if kind in ("Aplus", "Mix"):
+        return recursion_inputs(field, window)[kind]
+    f = random_induced_morphism(field, rng, window)
+    return (kernel if kind == "kernel" else cokernel)(f)
 
 
 ACCEPTANCE_LINES = []

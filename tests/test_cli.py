@@ -229,6 +229,21 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch):
     assert main(["run", str(path)]) == 1
 
 
+def test_suite_exit_code_ranks_a_failure_above_a_short_window(monkeypatch, capsys):
+    import fihomlab.cli as cli
+    from fihomlab.jobspec import parse_spec
+    from fihomlab.runner import RunResult, TaskResult
+
+    job = parse_spec("field F5\nwindow 2\nmodule A constant\ntask verify A\n")
+
+    def result(status):
+        return RunResult(job, [TaskResult("verify", "A", status, {"error": status}, 0.0)], 0.0)
+
+    monkeypatch.setattr(cli, "run_suite", lambda use_cache=True: [
+        ("failing", result("fail")), ("short", result("window"))])
+    assert main(["suite"]) == 1
+
+
 def test_truncated_cache_entry_is_a_miss(demo_job):
     from fihomlab.jobspec import parse_spec
     from fihomlab.runner import cache_dir, run_job, task_cache_key

@@ -1,10 +1,11 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_induced_morphism, set_entry
+from conftest import ORACLE_KINDS, oracle_module, random_induced_morphism, set_entry
 
 from fihomlab.fields import GF, QQ
 from fihomlab.fimod import (
@@ -30,6 +31,7 @@ from fihomlab.fimod import (
     zero_module,
 )
 from fihomlab.linalg import Matrix, kernel_basis
+from fihomlab.permutations import Permutation
 from fihomlab.reps import basic_rep
 
 W = 5
@@ -214,3 +216,72 @@ def test_torsion_matches_the_subquotient_oracle_on_shifts(field):
               direct_sum(I, T), direct_sum(I, fi_truncate(fi_constant(field, W), W - 1))):
         for a in range(3):
             assert_torsion_matches_oracle(fi_shift(M, a))
+
+
+# -- one generator product from a neighbour, against permutation words --
+#
+# Shifts and induced morphisms move vectors by one generator times a matrix
+# already built.  The oracles multiply out the word of every permutation
+# with ``perm_matrix`` instead, and must agree matrix for matrix.
+
+ORACLE_FIELDS = [QQ, GF(2), GF(5)]
+
+
+def shift_steps_by_words(M, b):
+    """The steps of ``fi_shift(M, b)``: M's step, then the cycle (n+1 ... n+b+1)."""
+    return [M.pieces[n + b + 1].perm_matrix(
+                Permutation.cycle(list(range(n + 1, n + b + 2)), n + b + 1)) * M.steps[n + b]
+            for n in range(M.window - b)]
+
+
+def induced_maps_by_words(V, target, f0):
+    """The maps of ``induced_morphism(V, target, f0)``: the block of a subset s
+    is its coset representative times the composite step after f0."""
+    d, field = V.n, V.field
+    maps = []
+    for n in range(target.window + 1):
+        if n < d:
+            maps.append(Matrix.zeros(field, target.dim(n), 0))
+            continue
+        comp = target.composite_step(d, n) * f0
+        cols = []
+        for s in combinations(range(1, n + 1), d):
+            coset = Permutation(list(s) + [x for x in range(1, n + 1) if x not in s])
+            cols.extend((target.pieces[n].perm_matrix(coset) * comp).columns())
+        maps.append(Matrix.from_columns(field, cols, nrows=target.dim(n)))
+    return maps
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_shift_steps_match_the_word_oracle(field, kind, seed):
+    M = oracle_module(kind, field, random.Random(seed))
+    for b in range(4):
+        S = fi_shift(M, b)
+        assert list(S.steps) == shift_steps_by_words(M, b)
+        if b:
+            # the probes of the shift search, one shift by one at a time
+            T = fi_shift(fi_shift(M, b - 1), 1)
+            assert ([(p.n, p.dim, p.gens) for p in T.pieces]
+                    == [(p.n, p.dim, p.gens) for p in S.pieces])
+            assert T.steps == S.steps
+            assert (T.valid_through, T.torsion_hint) == (S.valid_through, S.torsion_hint)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**32 - 1),
+       d=st.integers(0, 2), sign=st.booleans())
+def test_induced_morphism_matches_the_word_oracle(field, kind, seed, d, sign):
+    rng = random.Random(seed)
+    f = random_induced_morphism(field, rng)
+    d0 = next(n for n in range(f.source.window + 1) if f.source.dim(n))
+    assert list(f.maps) == induced_maps_by_words(f.source.pieces[d0], f.target, f.maps[d0])
+    # into a target whose steps are not subset inclusions
+    target = oracle_module(kind, field, rng)
+    V = basic_rep("sign" if sign else "trivial", d, field)
+    f0 = Matrix.zeros(field, target.dim(d), V.dim)
+    for b in equivariant_hom_basis(V, target.pieces[d]):
+        f0 = f0 + b.scale(field.of(rng.randint(-2, 2)))
+    assert list(induced_morphism(V, target, f0).maps) == induced_maps_by_words(V, target, f0)

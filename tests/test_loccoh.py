@@ -4,6 +4,7 @@ import math
 import pytest
 
 from fihomlab.complexes import FIComplex
+from fihomlab.fields import GF
 from fihomlab.fimod import (
     InputError,
     WindowExhausted,
@@ -195,6 +196,15 @@ def test_nu_certificate_rejects_a_complex_with_a_non_torsion_term(field, make):
     T = fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 5)
     with pytest.raises(InputError, match="torsion"):
         nu_certificate(FIComplex({0: T, 1: make(field)}), gi)
+
+
+@pytest.mark.parametrize("w", [1, 3])
+def test_nu_certificate_builds_no_strand_when_no_certificate_fits(w):
+    # H^1 = T(triv_w @ w) gives max(i + maxdeg H^i) = w + 1, past the window w
+    field = GF(5)
+    C = FIComplex.single(fi_torsion_concentrated(basic_rep("trivial", w, field), w, w), 1)
+    assert nu_certificate(C, good_ideal(2, field)) == []
+    assert C.strands == {}
 
 
 def test_nu_certificates_on_single_term_complex(field):

@@ -2,11 +2,21 @@ import gc
 import math
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_entry_types, entry, random_induced_morphism, random_rep, set_entry
+from conftest import (
+    ORACLE_KINDS,
+    assert_entry_types,
+    entry,
+    oracle_module,
+    random_induced_morphism,
+    random_rep,
+    recursion_inputs,
+    set_entry,
+)
 
 import fihomlab.complexes as complexes
 import fihomlab.fimod as fimod
@@ -25,16 +35,16 @@ from fihomlab.fimod import (
     direct_sum,
     fi_constant,
     fi_induced,
+    fi_shift,
     fi_torsion_concentrated,
     generation_degrees,
-    image,
-    induced_morphism,
     kernel,
 )
 from fihomlab.fields import GF, QQ
 from fihomlab.good_ideal import good_ideal
 from fihomlab.linalg import Matrix
-from fihomlab.loccoh import nu_certificate, verify_main_theorem
+from fihomlab.loccoh import local_cohomology, nu_certificate, verify_main_theorem
+from fihomlab.permutations import Permutation
 from fihomlab.reps import SnRep, basic_rep
 from fihomlab.tor import (
     TorError,
@@ -249,20 +259,9 @@ def test_verify_runs_the_generator_oracle_once_per_module(monkeypatch):
     assert mix.generators == oracle(mix)
 
 
-def _recursion_inputs(field, window):
-    A = fi_constant(field, window)
-    aplus = image(induced_morphism(basic_rep("trivial", 1, field), A,
-                                   Matrix.from_rows(field, [[1]])))
-    mix = direct_sum(
-        fi_induced(basic_rep("sign", 2, field), window),
-        fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, window),
-    )
-    return {"Aplus": aplus, "Mix": mix}
-
-
 @pytest.mark.parametrize("name", ["Aplus", "Mix"])
 def test_verify_builds_each_shift_once(monkeypatch, name):
-    M = _recursion_inputs(GF(5), 7)[name]
+    M = recursion_inputs(GF(5), 7)[name]
     calls = Counter()
     seen = []  # keeps every argument alive, so that ids stay distinct
     shift = fimod.fi_shift
@@ -281,7 +280,7 @@ def test_verify_builds_each_shift_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["Aplus", "Mix"])
 def test_verify_tests_each_module_for_semi_inducedness_once(monkeypatch, name):
-    M = _recursion_inputs(GF(5), 7)[name]
+    M = recursion_inputs(GF(5), 7)[name]
     calls = Counter()
     seen = []  # keeps every argument alive, so that ids stay distinct
     test = loccoh.is_semi_induced
@@ -374,3 +373,52 @@ def test_tor_rep_of_cached_strand_matches_fresh_build(field):
                      dim=sq.dim)
     assert tor_rep(T, 2, 4) == expected
     assert expected.dim == math.comb(4, 2) * 2
+
+
+# -- local blocks by one generator product, against permutation words --
+
+
+def koszul_diffs_by_words(M, n):
+    """The differentials of the degree-n strand, with each local block the
+    word of the cycle (q ... m) multiplied out after the step into degree m."""
+    field = M.field
+    diffs = {}
+    for i in range(1, n + 1):
+        m = n - i + 1
+        dim_m, dim_m1 = M.dim(m - 1), M.dim(m)
+        blocks = []
+        if dim_m and dim_m1:
+            idx1 = {s: k for k, s in enumerate(combinations(range(1, n + 1), i - 1))}
+            for k, T in enumerate(combinations(range(1, n + 1), i)):
+                for j, t in enumerate(T):
+                    cyc = Permutation.cycle(list(range(t - j, m + 1)), m)
+                    local = M.pieces[m].perm_matrix(cyc) * M.steps[m - 1]
+                    blocks.append((idx1[T[:j] + T[j + 1:]] * dim_m1, k * dim_m,
+                                   local.scale(field.of(-1)) if j % 2 else local))
+        diffs[i] = Matrix.from_blocks(field, math.comb(n, i - 1) * dim_m1,
+                                      math.comb(n, i) * dim_m, blocks)
+    return diffs
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**32 - 1),
+       b=st.integers(0, 2))
+def test_koszul_strand_matches_the_word_oracle(field, kind, seed, b):
+    M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
+    for n in range(M.valid_through + 1):
+        assert koszul_strand(M, n).diffs == koszul_diffs_by_words(M, n)
+
+
+def test_construction_never_multiplies_out_a_permutation_word(monkeypatch):
+    def refuse(rep, perm):
+        raise AssertionError(f"a permutation word was multiplied out: {perm}")
+
+    monkeypatch.setattr(SnRep, "perm_matrix", refuse)
+    field, window = GF(5), 7
+    f = random_induced_morphism(field, random.Random(12), window)
+    mods = recursion_inputs(field, window)
+    for M in (fi_constant(field, window), mods["Aplus"], kernel(f), cokernel(f),
+              mods["Mix"], fi_shift(mods["Mix"], 2)):
+        tor_table(M)
+        local_cohomology(M)
