@@ -15,11 +15,9 @@ from ._version import __version__
 from .fields import GF, QQ, Field, FieldError, field_by_name
 from .linalg import Matrix, SubquotientSpace, kernel_basis, column_space_basis, rref
 from .permutations import Permutation, all_permutations, factor_adjacent
-from .group_algebra import GroupAlgebraElement
 from .reps import (
     BlockRep,
     SnRep,
-    act,
     basic_rep,
     direct_sum_reps,
     external_tensor,
@@ -30,8 +28,8 @@ from .reps import (
 from .good_ideal import (
     GoodIdeal,
     NuValue,
-    block_embed,
     good_ideal,
+    ideal_operators,
     nu,
     nu_bruteforce,
     verify_good_ideal,

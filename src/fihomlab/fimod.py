@@ -27,7 +27,6 @@ from .linalg import (
     Matrix,
     SubquotientSpace,
     block_diag,
-    column_space_basis,
     kernel_basis,
     rank,
 )
@@ -38,6 +37,7 @@ from .reps import (
     external_tensor,
     induce_young,
     restrict_rep,
+    subrep_span,
     zero_rep,
 )
 
@@ -480,17 +480,7 @@ def generation_degrees(M: FIModule) -> list[int]:
         if n == 0:
             out.append(M.dim(0))
             continue
-        span = column_space_basis(M.steps[n - 1])
-        rep = M.pieces[n]
-        while True:
-            stacked = span
-            for g in rep.gens:
-                stacked = stacked.hstack(g * span)
-            grown = column_space_basis(stacked)
-            if grown.cols == span.cols:
-                break
-            span = grown
-        out.append(M.dim(n) - span.cols)
+        out.append(M.dim(n) - subrep_span(M.pieces[n], M.steps[n - 1]).cols)
     return out
 
 

@@ -1,12 +1,21 @@
 """Good ideals of k[S_p] (p = 2 or 3) and the nu invariant.
 
-The ideal is carried by a single two-sided generator: the norm element
-N = 1 + (1,2) for p = 2, and tau = (1 + (1,2))(1 + (1,3)) - (2/3) N for
-p = 3, where N is the full norm element of k[S_3].  Whether the r-fold block
-embedding annihilates a representation is decided by the single operator
-act(g^{boxtimes r}); the reduction to one matrix is valid because the
-two-sided ideal it generates acts through that operator on the whole module,
-and is cross-checked against a brute-force ideal sweep in the tests.
+The ideal is carried by a single two-sided generator g, a matrix expression
+in the generators A = s_1 and B = s_2 of its block of p letters: the norm
+element g = 1 + A for p = 2, and for p = 3
+
+    tau = (1 + A)(1 + ABA) - (2/3)(1 + A + B + AB + BA + ABA),
+
+i.e. (1 + (1,2))(1 + (1,3)) minus 2/3 of the norm element of k[S_3].  On a
+representation of S_n, g^{boxtimes r} acts blockwise on {1..p},
+{p+1..2p}, ... as the product of r commuting block operators, each g in the
+generator matrices of its block.  Whether the r-fold ideal annihilates a
+representation is decided by that single operator; the reduction to one
+matrix is valid because the two-sided ideal it generates acts through that
+operator on the whole module, and is cross-checked against a brute-force
+ideal sweep in the tests.  The axioms are checked on the matrix of g in the
+regular representation of S_p, which is faithful, so an identity of
+matrices there is the same identity in k[S_p].
 """
 from __future__ import annotations
 
@@ -14,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 from .fields import Field, FieldError
-from .group_algebra import GroupAlgebraElement
-from .linalg import Matrix, rank
-from .permutations import Permutation, all_permutations
-from .reps import SnRep, act, basic_rep, external_tensor, induce_young
+from .linalg import Matrix
+from .permutations import all_permutations
+from .reps import SnRep, basic_rep, external_tensor, induce_young, subrep_span
 
 INF = math.inf
 
@@ -29,11 +37,20 @@ class GoodIdealError(ValueError):
 @dataclass(frozen=True)
 class GoodIdeal:
     p: int
-    g: GroupAlgebraElement
+    field: Field
 
-    @property
-    def field(self):
-        return self.g.field
+    def g(self, gens) -> Matrix:
+        """The matrix of g, given the matrices of its block's generators
+        ``s_1 .. s_{p-1}``."""
+        f = self.field
+        one = Matrix.identity(f, gens[0].rows)
+        if self.p == 2:
+            return one + gens[0]
+        A, B = gens
+        AB, BA = A * B, B * A
+        ABA = AB * A
+        norm = one + A + B + AB + BA + ABA
+        return (one + A) * (one + ABA) - norm.scale(f.div(f.of(2), f.of(3)))
 
 
 @dataclass
@@ -53,12 +70,6 @@ class NuValue:
         return f"NuValue({self.value})"
 
 
-def norm_element(n: int, field: Field) -> GroupAlgebraElement:
-    return GroupAlgebraElement(
-        n, field, {p: field.one for p in all_permutations(n)}
-    )
-
-
 def good_ideal(p: int, field: Field) -> GoodIdeal:
     """The good-ideal generator for block size p, verified at construction."""
     if p not in (2, 3):
@@ -67,38 +78,21 @@ def good_ideal(p: int, field: Field) -> GoodIdeal:
         raise GoodIdealError(
             f"{p} must be invertible in the coefficient field (char = {field.characteristic})"
         )
-    if p == 2:
-        g = GroupAlgebraElement(
-            2, field, {Permutation([1, 2]): 1, Permutation([2, 1]): 1}
-        )
-    else:
-        e = GroupAlgebraElement.one(3, field)
-        t12 = GroupAlgebraElement.of_permutation(Permutation.transposition(1, 2, 3), field)
-        t13 = GroupAlgebraElement.of_permutation(Permutation.transposition(1, 3, 3), field)
-        two_thirds = field.div(field.of(2), field.of(3))
-        g = (e + t12) * (e + t13) - norm_element(3, field).scale(two_thirds)
-    gi = GoodIdeal(p, g)
+    gi = GoodIdeal(p, field)
     report = verify_good_ideal(gi)
     if not report["all_pass"]:
         raise GoodIdealError(f"good-ideal axioms failed: {report}")
     return gi
 
 
-def two_sided_ideal_dimension(x: GroupAlgebraElement) -> int:
-    """Dimension of the two-sided ideal generated by ``x`` inside k[S_n]."""
-    n, f = x.n, x.field
-    elems = all_permutations(n)
-    index = {p.images: k for k, p in enumerate(elems)}
-    rows = []
-    for a in elems:
-        for b in elems:
-            y = (
-                GroupAlgebraElement.of_permutation(a, f)
-                * x
-                * GroupAlgebraElement.of_permutation(b, f)
-            )
-            rows.append({index[p.images]: c for p, c in y.terms.items()})
-    return rank(Matrix.from_dicts(f, rows, len(elems)))
+def two_sided_ideal_dimension(gi: GoodIdeal) -> int:
+    """Dimension of the two-sided ideal generated by g inside k[S_p].
+
+    In the regular representation the columns of g span the right ideal
+    g k[S_p], and the smallest generator-stable subspace holding them is
+    k[S_p] g k[S_p]."""
+    reg = basic_rep("regular", gi.p, gi.field)
+    return subrep_span(reg, gi.g(reg.gens)).cols
 
 
 def induced_sign_rep(p: int, field: Field) -> SnRep:
@@ -110,17 +104,15 @@ def induced_sign_rep(p: int, field: Field) -> SnRep:
 
 def verify_good_ideal(gi: GoodIdeal) -> dict:
     """Check the good-ideal axioms over the field; k-flatness is automatic."""
-    p, g, f = gi.p, gi.g, gi.field
+    p, f = gi.p, gi.field
+    G = gi.g(basic_rep("regular", p, f).gens)
     checks = {}
-    if p == 2:
-        checks["idempotency_identity"] = (g * g) == g.scale(2)
-    else:
-        checks["idempotency_identity"] = (g * g) == g
-    checks["annihilates_sign"] = act(g, basic_rep("sign", p, f)).is_zero()
-    checks["nonzero_on_induced_sign"] = not act(g, induced_sign_rep(p, f)).is_zero()
+    checks["idempotency_identity"] = G * G == (G.scale(f.of(2)) if p == 2 else G)
+    checks["annihilates_sign"] = gi.g(basic_rep("sign", p, f).gens).is_zero()
+    checks["nonzero_on_induced_sign"] = not gi.g(induced_sign_rep(p, f).gens).is_zero()
     if p == 3:
         # k[S_3]/I has dimension 2, i.e. the ideal has dimension 4
-        checks["quotient_dimension_2"] = two_sided_ideal_dimension(g) == 4
+        checks["quotient_dimension_2"] = two_sided_ideal_dimension(gi) == 4
     checks["k_flat"] = True  # automatic over a field
     report = dict(checks)
     report["p"] = p
@@ -129,20 +121,16 @@ def verify_good_ideal(gi: GoodIdeal) -> dict:
     return report
 
 
-def block_embed(gi: GoodIdeal, r: int, n: int) -> GroupAlgebraElement:
-    """g^{boxtimes r} in k[S_n], blockwise on {1..p}, {p+1..2p}, ...
-
-    Returns the zero element when pr > n (the ideal I_n(r) is zero there)
-    and the identity when r = 0.
-    """
-    if r < 0:
-        raise GoodIdealError("negative block count")
-    if gi.p * r > n:
-        return GroupAlgebraElement.zero(n, gi.field)
-    out = GroupAlgebraElement.one(n, gi.field)
-    for j in range(r):
-        out = out * gi.g.embed(n, offset=j * gi.p)
-    return out
+def ideal_operators(gi: GoodIdeal, rep: SnRep):
+    """The matrices of g^{boxtimes r} on ``rep`` for r = 0 .. n // p (the
+    ideal I_n(r) is zero beyond): the identity, then each the last times g
+    on the next block of p letters."""
+    p = gi.p
+    op = Matrix.identity(rep.field, rep.dim)
+    yield op
+    for j in range(rep.n // p):
+        op = op * gi.g(rep.gens[j * p: j * p + p - 1])
+        yield op
 
 
 def nu(rep: SnRep, gi: GoodIdeal) -> NuValue:
@@ -157,9 +145,10 @@ def nu(rep: SnRep, gi: GoodIdeal) -> NuValue:
     if rep.is_zero():
         return NuValue(INF, n)
     r_star = 0
-    for r in range(1, n // gi.p + 1):
-        if not act(block_embed(gi, r, n), rep).is_zero():
-            r_star = r
+    for r, op in enumerate(ideal_operators(gi, rep)):
+        if op.is_zero():  # and so is every later operator, a multiple of it
+            break
+        r_star = r
     return NuValue(n - r_star, n, r_star)
 
 
@@ -167,9 +156,11 @@ def ideal_annihilates_bruteforce(gi: GoodIdeal, r: int, rep: SnRep) -> bool:
     """Direct sweep over the two-sided ideal I_n(r): checks sigma * g^{boxtimes r} * rho
     for every pair of permutations.  Exponential; test oracle for n <= 4."""
     n = rep.n
-    core = act(block_embed(gi, r, n), rep)
+    ops = list(ideal_operators(gi, rep))
+    if r >= len(ops):  # pr > n: I_n(r) is zero
+        return True
     mats = [rep.perm_matrix(p) for p in all_permutations(n)]
-    left = [m * core for m in mats]
+    left = [m * ops[r] for m in mats]
     return all((lm * m).is_zero() for lm in left for m in mats)
 
 

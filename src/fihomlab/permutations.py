@@ -34,12 +34,6 @@ class Permutation:
         return cls(img)
 
     @classmethod
-    def transposition(cls, a, b, n):
-        img = list(range(1, n + 1))
-        img[a - 1], img[b - 1] = img[b - 1], img[a - 1]
-        return cls(img)
-
-    @classmethod
     def cycle(cls, points, n):
         """The cycle sending points[0] -> points[1] -> ... -> points[0]."""
         img = list(range(1, n + 1))

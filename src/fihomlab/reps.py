@@ -4,8 +4,9 @@ An :class:`SnRep` stores only the matrices of the adjacent transpositions
 ``s_1 .. s_{n-1}``.  Construction verifies the Coxeter relations
 (involutions, braid, distant commutation), which certifies a well-defined
 S_n-action.  Modules, strands and morphisms move vectors by one generator
-product from a neighbouring permutation; only :func:`act` (good ideals) and
-the test oracles multiply out a word of
+product from a neighbouring permutation, and a good ideal's generator acts
+as a matrix expression in the generators of its block; only the brute-force
+ideal sweep and the test oracles multiply out a word of
 :func:`~fihomlab.permutations.factor_adjacent`, in :meth:`SnRep.perm_matrix`.
 """
 from __future__ import annotations
@@ -14,8 +15,7 @@ from bisect import bisect_left
 from itertools import combinations
 
 from .fields import Field, FieldError
-from .group_algebra import GroupAlgebraElement
-from .linalg import Matrix, block_diag, kronecker
+from .linalg import Matrix, block_diag, column_space_basis, kronecker
 from .permutations import Permutation, all_permutations, factor_adjacent
 
 
@@ -196,13 +196,16 @@ def induce_young(block: BlockRep) -> SnRep:
     return SnRep(n, field, gens, dim=dim, check=False)
 
 
-def act(x: GroupAlgebraElement, rep: SnRep) -> Matrix:
-    """Matrix by which a group algebra element acts on a representation."""
-    if x.n != rep.n:
-        raise RepError("degree mismatch between algebra element and representation")
-    if x.field != rep.field:
-        raise FieldError("field mismatch")
-    out = Matrix.zeros(rep.field, rep.dim, rep.dim)
-    for perm, c in x.terms.items():
-        out = out + rep.perm_matrix(perm).scale(c)
-    return out
+def subrep_span(rep: SnRep, vectors: Matrix) -> Matrix:
+    """Column basis of the smallest ``rep``-stable subspace holding the
+    columns of ``vectors``: their span, grown by the generators until it
+    stops growing."""
+    span = column_space_basis(vectors)
+    while True:
+        stacked = span
+        for g in rep.gens:
+            stacked = stacked.hstack(g * span)
+        grown = column_space_basis(stacked)
+        if grown.cols == span.cols:
+            return span
+        span = grown

@@ -18,8 +18,8 @@ from fihomlab.fimod import (
     induced_morphism,
     kernel,
 )
-from fihomlab.linalg import Matrix, column_space_basis, rank, solve
-from fihomlab.reps import SnRep, basic_rep, direct_sum_reps
+from fihomlab.linalg import Matrix, rank, solve
+from fihomlab.reps import SnRep, basic_rep, direct_sum_reps, subrep_span
 
 
 def assert_entry_types(field, m):
@@ -116,15 +116,7 @@ def orbit_span_subrep(rep, rng):
     v = Matrix.from_rows(
         field, [[field.of(rng.randint(-2, 2))] for _ in range(rep.dim)], ncols=1
     )
-    span = column_space_basis(v)
-    while True:
-        stacked = span
-        for g in rep.gens:
-            stacked = stacked.hstack(g * span)
-        grown = column_space_basis(stacked)
-        if grown.cols == span.cols:
-            return span
-        span = grown
+    return subrep_span(rep, v)
 
 
 def random_induced_morphism(field, rng, window=5):

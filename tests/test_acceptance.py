@@ -27,7 +27,6 @@ from fihomlab.fimod import (
 )
 from fihomlab.good_ideal import (
     good_ideal,
-    norm_element,
     nu,
     nu_bruteforce,
     two_sided_ideal_dimension,
@@ -120,16 +119,19 @@ def test_criterion_02_tor_of_concentrated_torsion():
 def test_criterion_03_good_ideals():
     with record(3, "good ideal axioms and element identities"):
         for f in (QQ, GF(5), GF(7), GF(3)):
-            assert verify_good_ideal(good_ideal(2, f))["all_pass"]
-            N = norm_element(2, f)
+            gi = good_ideal(2, f)
+            assert verify_good_ideal(gi)["all_pass"]
+            # identities of matrices in the faithful regular representation
+            N = gi.g(basic_rep("regular", 2, f).gens)
             assert N * N == N.scale(f.of(2))
         for f in (QQ, GF(5), GF(7), GF(2)):
             gi = good_ideal(3, f)
             assert verify_good_ideal(gi)["all_pass"]
-            assert gi.g * gi.g == gi.g
+            tau = gi.g(basic_rep("regular", 3, f).gens)
+            assert tau * tau == tau
             # dim k[S_3] = 6 and the two-sided ideal has dimension 4,
             # so the quotient is two-dimensional
-            assert 6 - two_sided_ideal_dimension(gi.g) == 2
+            assert 6 - two_sided_ideal_dimension(gi) == 2
 
 
 def test_criterion_04_nu_values_and_min_rule():

@@ -1,19 +1,24 @@
+import random
+from fractions import Fraction
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import orbit_span_subrep, random_rep
 
 from fihomlab.fields import GF, QQ
 from fihomlab.good_ideal import (
     GoodIdealError,
-    block_embed,
     good_ideal,
-    norm_element,
+    ideal_operators,
     nu,
     nu_bruteforce,
     two_sided_ideal_dimension,
     verify_good_ideal,
 )
-from fihomlab.linalg import SubquotientSpace
+from fihomlab.linalg import Matrix, SubquotientSpace
+from fihomlab.permutations import Permutation
 from fihomlab.reps import SnRep, basic_rep
 
 FIELDS_P2 = [QQ, GF(3), GF(5), GF(7)]
@@ -39,23 +44,27 @@ def test_wrong_characteristic_rejected():
         good_ideal(3, GF(3))
 
 
+def regular_g(gi):
+    """The matrix of g in the regular representation of S_p."""
+    return gi.g(basic_rep("regular", gi.p, gi.field).gens)
+
+
 def test_norm_squared_is_twice_norm():
     for f in FIELDS_P2:
-        n = norm_element(2, f)
+        n = regular_g(good_ideal(2, f))
         assert n * n == n.scale(f.of(2))
 
 
 def test_tau_idempotent():
     for f in FIELDS_P3:
-        tau = good_ideal(3, f).g
+        tau = regular_g(good_ideal(3, f))
         assert tau * tau == tau
 
 
 def test_quotient_by_ideal_has_dimension_two():
     # dim k[S_3] = 6, the two-sided ideal of tau has dimension 4
     for f in FIELDS_P3:
-        tau = good_ideal(3, f).g
-        assert two_sided_ideal_dimension(tau) == 4
+        assert two_sided_ideal_dimension(good_ideal(3, f)) == 4
 
 
 def test_nu_of_sign_and_trivial(field):
@@ -84,9 +93,51 @@ def test_nu_zero_rep_is_infinite(field):
 
 
 def test_block_embed_vanishes_beyond_capacity(field):
+    # g^{boxtimes r} is an operator for r <= n // p only: I_5(3) = 0 for p = 2
     gi = good_ideal(2, field)
-    assert block_embed(gi, 3, 5).is_zero()   # 2*3 > 5
-    assert not block_embed(gi, 2, 5).is_zero()
+    ops = list(ideal_operators(gi, basic_rep("regular", 5, field)))
+    assert len(ops) == 3
+    assert ops[0] == Matrix.identity(field, 120)
+    assert not ops[2].is_zero()
+
+
+# g in one-line notation, expanded by hand: 1 + (1,2) for p = 2, and for
+# p = 3 (1 + (1,2))(1 + (1,3)) - (2/3) N = (1/3)(e + (1,2) + (1,3) + [3,1,2])
+# - (2/3)((2,3) + [2,3,1])
+G_TERMS = {
+    2: {(1, 2): 1, (2, 1): 1},
+    3: {(1, 2, 3): Fraction(1, 3), (2, 1, 3): Fraction(1, 3),
+        (3, 2, 1): Fraction(1, 3), (3, 1, 2): Fraction(1, 3),
+        (1, 3, 2): Fraction(-2, 3), (2, 3, 1): Fraction(-2, 3)},
+}
+
+
+def expanded_operator(p, r, rep):
+    """g^{boxtimes r} on ``rep``, term by term: one permutation of S_n per
+    choice of a term of g on each block {jp+1 .. jp+p}, acting by its word."""
+    f, n = rep.field, rep.n
+    out = Matrix.zeros(f, rep.dim, rep.dim)
+    for terms in product(G_TERMS[p].items(), repeat=r):
+        images, coeff = list(range(1, n + 1)), 1
+        for j, (block, c) in enumerate(terms):
+            images[j * p: j * p + p] = [j * p + x for x in block]
+            coeff *= c
+        out = out + rep.perm_matrix(Permutation(images)).scale(f.of(coeff))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(fp=st.sampled_from([(QQ, 2), (GF(5), 2), (GF(3), 2), (QQ, 3), (GF(5), 3),
+                           (GF(2), 3)]),
+       n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_ideal_operators_match_the_term_expansion(fp, n, seed):
+    field, p = fp
+    gi = good_ideal(p, field)
+    rep = random_rep(n, field, random.Random(seed), max_summands=2)
+    ops = list(ideal_operators(gi, rep))
+    assert len(ops) == n // p + 1
+    for r, op in enumerate(ops):
+        assert op == expanded_operator(p, r, rep), r
 
 
 def test_operator_agrees_with_bruteforce_on_random_reps(field, rng):
@@ -110,8 +161,6 @@ def test_min_rule_on_invariant_subspace_ses(field, rng):
         sub = SnRep(n, field,
                     [sub_sq.induced_map(g, sub_sq) for g in rep.gens],
                     dim=sub_sq.dim)
-        from fihomlab.linalg import Matrix
-
         full = Matrix.identity(field, rep.dim)
         quot_sq = SubquotientSpace.from_sub_killed(full, sub_basis)
         quot = SnRep(n, field,

@@ -45,7 +45,7 @@ def test_composition_convention():
 def test_cycle_and_transposition():
     c = Permutation.cycle([1, 2, 3], 4)
     assert [c(i) for i in (1, 2, 3, 4)] == [2, 3, 1, 4]
-    t = Permutation.transposition(2, 4, 5)
+    t = Permutation.cycle([2, 4], 5)
     assert t(2) == 4 and t(4) == 2 and t(1) == 1
 
 
