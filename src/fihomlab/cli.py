@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 everything verified, 1 a verification failed, 2 the window was
-insufficient for a certified answer, 3 invalid input, 4 an internal failure
-(a bug, never the input's fault); of several, the first of 4, 3, 1, 2 wins.
+insufficient for a certified answer, 3 invalid input (a malformed job, or a
+command line argparse rejects), 4 an internal failure (a bug, never the
+input's fault); of several, the first of 4, 3, 1, 2 wins.
 """
 from __future__ import annotations
 
@@ -29,10 +30,17 @@ def _add_overrides(p: argparse.ArgumentParser):
                    help="Tor depth used by semi-inducedness tests")
     p.add_argument("--nu-p", type=int, choices=(2, 3), dest="nu_p",
                    help="block size for the annihilator invariant")
-    p.add_argument("--assume-window-sufficient", action="store_true",
-                   help="treat window-limited answers as certified")
     p.add_argument("--no-cache", action="store_true",
                    help="do not read or write the result cache")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, invalid input, not argparse's 2: here 2 means an
+    insufficient window.  Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _add_out(p: argparse.ArgumentParser):
@@ -40,7 +48,7 @@ def _add_out(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fihomlab",
         description="Exact homological invariants of FI-modules over a field.",
     )
@@ -87,7 +95,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(job: JobSpec, args) -> JobSpec:
     given = [getattr(args, key, None) for key in ("field", "window", "imax", "nu_p")]
-    if given == [None] * 4 and not getattr(args, "assume_window_sufficient", False):
+    if given == [None] * 4:
         return job
     lines = job.canonical_text().splitlines()
     if getattr(args, "field", None):
@@ -102,9 +110,6 @@ def _apply_overrides(job: JobSpec, args) -> JobSpec:
     if getattr(args, "nu_p", None) is not None:
         lines = [ln for ln in lines if not ln.startswith("policy nu-p")]
         lines.insert(2, f"policy nu-p {args.nu_p}")
-    if getattr(args, "assume_window_sufficient", False):
-        if "policy assume-window-sufficient" not in lines:
-            lines.insert(2, "policy assume-window-sufficient")
     # re-parse so every override goes through full validation
     return parse_spec("\n".join(lines))
 

@@ -4,7 +4,7 @@ Grammar (one statement per line, ``#`` starts a comment)::
 
     field Q | F<q>
     window <N>
-    policy imax <k> | lcoh-imax <k> | nu-p <2|3> | assume-window-sufficient
+    policy imax <k> | lcoh-imax <k> | nu-p <2|3>
     rep <name> <trivial|sign|regular|natural> <degree>
     module <name> constant
     module <name> induced <rep>
@@ -54,7 +54,7 @@ class JobSpec:
     modules: dict        # name -> tuple construction
     morphisms: dict      # name -> ("induced", rep, target, entries tuple-of-tuples)
     tasks: list          # (task, module-name or None)
-    policy: dict         # imax / lcoh-imax / nu-p / assume-window-sufficient
+    policy: dict         # imax / lcoh-imax / nu-p
     order: list          # module and morphism names in definition order
 
     def canonical_text(self) -> str:
@@ -62,8 +62,6 @@ class JobSpec:
         for key in ("imax", "lcoh-imax", "nu-p"):
             if key in self.policy:
                 out.append(f"policy {key} {self.policy[key]}")
-        if self.policy.get("assume-window-sufficient"):
-            out.append("policy assume-window-sufficient")
         for name, (kind, deg) in self.reps.items():
             out.append(f"rep {name} {kind} {deg}")
         for name in self.order:
@@ -108,9 +106,7 @@ def parse_spec(text: str) -> JobSpec:
                     errors.append((ln, "window must be nonnegative"))
             elif head == "policy":
                 key = parts[1]
-                if key == "assume-window-sufficient":
-                    policy[key] = True
-                elif key in ("imax", "lcoh-imax", "nu-p"):
+                if key in ("imax", "lcoh-imax", "nu-p"):
                     policy[key] = int(parts[2])
                     if key != "nu-p" and policy[key] < 0:
                         errors.append((ln, f"{key} must be nonnegative"))

@@ -20,7 +20,6 @@ from .complexes import FIComplex, cohomology_dims, hyper_tor, hyper_tor_rep
 from .fimod import (
     FIModule,
     InputError,
-    MaxDeg,
     WindowExhausted,
     cokernel,
     fi_shift,
@@ -43,7 +42,6 @@ class Policy:
     i_max: int = 2                 # Tor vanishing depth for semi-induced tests
     lcoh_i_max: int = 6            # recursion depth cap
     nu_p: int | None = None        # None: 2 unless char 2, else 3
-    assume_window_sufficient: bool = False
 
     def choose_p(self, field) -> int:
         if self.nu_p is not None:
@@ -83,15 +81,8 @@ def min_acyclic_shift(M: FIModule, policy: Policy | None = None) -> tuple[int, F
 
 
 @dataclass
-class LocCohRow:
-    dims: list                # dimension of H^i per degree 0..window of its level
-    certified_through: int
-    maxdeg: MaxDeg
-
-
-@dataclass
 class LocCohTable:
-    rows: dict                # i -> LocCohRow
+    rows: dict                # i -> H^i, the fimod.TorsionPart of level i
     depth: int                # first level at which the recursion terminated
     trace: list               # (shift b, cokernel dims) per level
     complete: bool            # False when the window or lcoh_i_max cut the recursion
@@ -137,7 +128,7 @@ def local_cohomology(M: FIModule, policy: Policy | None = None) -> LocCohTable:
             break
         tp = torsion_submodule(cur)
         if any(tp.dims):
-            rows[level] = LocCohRow(tp.dims, tp.certified_through, tp.maxdeg)
+            rows[level] = tp
         if S is None:  # the search exhausted the window
             complete = False
             break
@@ -198,10 +189,7 @@ def verify_main_theorem(M: FIModule, policy: Policy | None = None,
     rhs = max(t0, mh)
 
     # stable formula: t_n - n should equal max_i(h^i + i) for n >> 0
-    certified_rows = [
-        i for i in table.rows()
-        if i >= 1 and (table.row_certified(i) or policy.assume_window_sufficient)
-    ]
+    certified_rows = [i for i in table.rows() if i >= 1 and table.row_certified(i)]
     stable_from = None
     stable_checked = []
     stable_unknown = False
@@ -238,8 +226,7 @@ def verify_main_theorem(M: FIModule, policy: Policy | None = None,
     uncertified = reg_report.uncertified_rows
     # uncertified Tor rows can only raise reg, so lhs < rhs is not yet a FAIL
     lhs_open = lhs < rhs and bool(uncertified)
-    if ((not lcoh.complete or stable_unknown or lhs_open)
-            and not policy.assume_window_sufficient):
+    if not lcoh.complete or stable_unknown or lhs_open:
         verdict = "UNCERTIFIED"
     elif lhs == rhs and ok_stable and all(c.passed for c in certs):
         verdict = "PASS"

@@ -143,8 +143,6 @@ def policy_from_job(job: JobSpec) -> Policy:
         pol.lcoh_i_max = job.policy["lcoh-imax"]
     if "nu-p" in job.policy:
         pol.nu_p = job.policy["nu-p"]
-    if job.policy.get("assume-window-sufficient"):
-        pol.assume_window_sufficient = True
     return pol
 
 
@@ -262,12 +260,11 @@ def run_task(task: str, modname, built: dict, job: JobSpec,
                 rep.table.t(i) - i <= rep.reg for i in rep.uncertified_rows
                 if rep.table.t(i) != -INF
             )
-            status = ("ok" if rep.certified or bounded
-                      or policy.assume_window_sufficient else "window")
+            status = "ok" if rep.certified or bounded else "window"
         elif task == "lcoh":
             table = local_cohomology(M, policy=policy)
             data = lcoh_data(table)
-            status = "ok" if table.complete or policy.assume_window_sufficient else "window"
+            status = "ok" if table.complete else "window"
         elif task == "nu":
             gi = good_ideal(policy.choose_p(field), field)
             certs = nu_certificate(M, gi, policy)
@@ -277,8 +274,6 @@ def run_task(task: str, modname, built: dict, job: JobSpec,
             rep = verify_main_theorem(M, policy)
             data = theorem_data(rep)
             status = {"PASS": "ok", "FAIL": "fail", "UNCERTIFIED": "window"}[rep.verdict]
-            if status == "window" and policy.assume_window_sufficient:
-                status = "ok" if rep.lhs == rep.rhs else "fail"
     except Exception as exc:
         status, data = failure_status(exc)
     return TaskResult(task, modname, status, data, time.monotonic() - t0)

@@ -116,6 +116,54 @@ def test_unknown_module_filter(demo_job, capsys):
     assert main(["tor", str(demo_job), "--module", "nope"]) == 3
 
 
+# exit 2 means an insufficient window, so a command line that argparse
+# rejects must not exit 2
+USAGE_ERRORS = {
+    "unknown-flag": ["run", "JOB", "--bogus"],
+    "bad-window": ["run", "JOB", "--window", "x"],
+    "removed-flag": ["run", "JOB", "--assume-window-sufficient"],
+    "unknown-subcommand": ["frobnicate", "JOB"],
+    "no-subcommand": [],
+}
+
+
+@pytest.mark.parametrize("name", list(USAGE_ERRORS))
+def test_usage_error_exits_3(demo_job, capsys, name):
+    argv = [str(demo_job) if a == "JOB" else a for a in USAGE_ERRORS[name]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error:" in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+WINDOW_1 = "field F5\nwindow 1\nmodule A constant\ntask verify A\n"
+
+
+def test_a_window_too_small_to_verify_is_uncertified(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FIHOMLAB_CACHE_DIR", str(tmp_path / "cache"))
+    path = tmp_path / "w1.job"
+    path.write_text(WINDOW_1)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["tasks"][0]["data"]["verdict"] == "UNCERTIFIED"
+
+
+def test_the_removed_policy_knob_is_an_unknown_knob(tmp_path, capsys):
+    path = tmp_path / "old.job"
+    path.write_text(WINDOW_1.replace("task", "policy assume-window-sufficient\ntask"))
+    assert main(["run", str(path), "--no-cache"]) == 3
+    assert "unknown policy knob 'assume-window-sufficient'" in capsys.readouterr().err
+
+
 def test_field_override_revalidates(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FIHOMLAB_CACHE_DIR", str(tmp_path / "cache"))
     path = tmp_path / "p3.job"
