@@ -198,7 +198,7 @@ def render_task_text(task: str, module, data: dict) -> str:
 # The version of the report layout above.  Cached task results are stored in
 # it, so it is part of every cache key: raise it with any change to what a
 # report holds, and entries in the old layout become misses.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 def dumps_report(obj: dict) -> str:

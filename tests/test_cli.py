@@ -260,6 +260,16 @@ def test_bare_checks(capsys):
     assert main(["koszul-check", "--field", "F5", "--window", "3"]) == 0
 
 
+def test_good_ideal_check_lists_only_real_checks(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["good-ideal-check", "--field", "F5", "--out", str(out)]) == 0
+    checks = json.loads((out / "report.json").read_text())["tasks"][0]["data"]["checks"]
+    axioms = {"idempotency_identity", "annihilates_sign", "nonzero_on_induced_sign",
+              "k_flat", "all_pass"}
+    assert checks == {"2": dict.fromkeys(axioms, True),
+                      "3": dict.fromkeys(axioms | {"quotient_dimension_2"}, True)}
+
+
 def test_verification_failure_exit_code(tmp_path, monkeypatch):
     # force a mismatching certificate through a corrupted cache entry
     monkeypatch.setenv("FIHOMLAB_CACHE_DIR", str(tmp_path / "cache"))
