@@ -151,14 +151,12 @@ def nu(rep: SnRep, gi: GoodIdeal) -> NuValue:
 
 
 def ideal_annihilates_bruteforce(gi: GoodIdeal, r: int, rep: SnRep) -> bool:
-    """Direct sweep over the two-sided ideal I_n(r): checks sigma * g^{boxtimes r} * rho
-    for every pair of permutations.  Exponential; test oracle for n <= 4."""
-    n = rep.n
-    ops = list(ideal_operators(gi, rep))
-    if r >= len(ops):  # pr > n: I_n(r) is zero
-        return True
-    mats = [rep.perm_matrix(p) for p in all_permutations(n)]
-    left = [m * ops[r] for m in mats]
+    """Direct sweep over the two-sided ideal I_n(r), r <= n // p: checks
+    sigma * g^{boxtimes r} * rho for every pair of permutations.
+    Exponential; test oracle for n <= 4."""
+    core = list(ideal_operators(gi, rep))[r]
+    mats = [rep.perm_matrix(p) for p in all_permutations(rep.n)]
+    left = [m * core for m in mats]
     return all((lm * m).is_zero() for lm in left for m in mats)
 
 
