@@ -16,11 +16,9 @@ from .fields import GF, QQ, Field, FieldError, field_by_name
 from .linalg import Matrix, SubquotientSpace, kernel_basis, column_space_basis, rref
 from .permutations import Permutation, all_permutations, factor_adjacent
 from .reps import (
-    BlockRep,
     SnRep,
     basic_rep,
     direct_sum_reps,
-    external_tensor,
     induce_young,
     restrict_rep,
     zero_rep,
@@ -52,7 +50,6 @@ from .fimod import (
     image,
     induced_morphism,
     kernel,
-    maxdeg,
     natural_shift_map,
     torsion_submodule,
     zero_module,
@@ -71,7 +68,6 @@ from .complexes import FIComplex, hyper_tor, hyper_tor_rep
 from .loccoh import (
     LocCohTable,
     NuCertificate,
-    Policy,
     TheoremReport,
     is_semi_induced,
     local_cohomology,

@@ -26,8 +26,6 @@ from .suite import run_suite
 def _add_overrides(p: argparse.ArgumentParser):
     p.add_argument("--field", help="override the coefficient field (Q or Fq)")
     p.add_argument("--window", type=int, help="override the degree window")
-    p.add_argument("--imax", type=int,
-                   help="Tor depth used by semi-inducedness tests")
     p.add_argument("--nu-p", type=int, choices=(2, 3), dest="nu_p",
                    help="block size for the annihilator invariant")
     p.add_argument("--no-cache", action="store_true",
@@ -94,8 +92,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(job: JobSpec, args) -> JobSpec:
-    given = [getattr(args, key, None) for key in ("field", "window", "imax", "nu_p")]
-    if given == [None] * 4:
+    given = [getattr(args, key, None) for key in ("field", "window", "nu_p")]
+    if given == [None] * 3:
         return job
     lines = job.canonical_text().splitlines()
     if getattr(args, "field", None):
@@ -104,9 +102,6 @@ def _apply_overrides(job: JobSpec, args) -> JobSpec:
     if getattr(args, "window", None) is not None:
         lines = [f"window {args.window}" if ln.startswith("window ") else ln
                  for ln in lines]
-    if getattr(args, "imax", None) is not None:
-        lines = [ln for ln in lines if not ln.startswith("policy imax")]
-        lines.insert(2, f"policy imax {args.imax}")
     if getattr(args, "nu_p", None) is not None:
         lines = [ln for ln in lines if not ln.startswith("policy nu-p")]
         lines.insert(2, f"policy nu-p {args.nu_p}")

@@ -34,7 +34,6 @@ from .reps import (
     SnRep,
     basic_rep,
     direct_sum_reps,
-    external_tensor,
     induce_young,
     restrict_rep,
     subrep_span,
@@ -163,7 +162,7 @@ def _induced_piece(V: SnRep, n: int) -> SnRep:
     """Ind over the two-block Young subgroup with the trivial rep on the tail."""
     if n < V.n:
         return zero_rep(n, V.field)
-    return induce_young(external_tensor(V, basic_rep("trivial", n - V.n, V.field)))
+    return induce_young(V, basic_rep("trivial", n - V.n, V.field))
 
 
 def fi_induced(V: SnRep, window: int) -> FIModule:
@@ -422,14 +421,14 @@ def equivariant_hom_basis(V: SnRep, W: SnRep) -> list[Matrix]:
     return out
 
 
-# -- torsion, generation, maxdeg -------------------------------------
+# -- torsion and generation -----------------------------------------
 
 
 @dataclass
 class TorsionPart:
     dims: list                # dimension of the torsion submodule per degree
     certified_through: int
-    maxdeg: MaxDeg
+    maxdeg: float             # last nonzero degree through valid_through, or -inf
 
 
 def torsion_submodule(M: FIModule) -> TorsionPart:
@@ -443,7 +442,8 @@ def torsion_submodule(M: FIModule) -> TorsionPart:
     """
     hi = M.valid_through
     if M.torsion_hint:
-        return TorsionPart(M.dims(), hi, maxdeg(M))
+        dims = M.dims()
+        return TorsionPart(dims, hi, last_nonzero(dims[: hi + 1]))
     dims = []
     certified_through = -1
     contiguous = True
@@ -464,7 +464,7 @@ def torsion_submodule(M: FIModule) -> TorsionPart:
             certified_through = n
         elif not stable:
             contiguous = False
-    return TorsionPart(dims, certified_through, MaxDeg(last_nonzero(dims), True))
+    return TorsionPart(dims, certified_through, last_nonzero(dims))
 
 
 def last_nonzero(dims) -> float:
@@ -482,40 +482,3 @@ def generation_degrees(M: FIModule) -> list[int]:
             continue
         out.append(M.dim(n) - subrep_span(M.pieces[n], M.steps[n - 1]).cols)
     return out
-
-
-@dataclass
-class MaxDeg:
-    value: float  # int, -inf, or +inf
-    certified: bool
-
-    def __eq__(self, other):
-        if isinstance(other, MaxDeg):
-            return self.value == other.value and self.certified == other.certified
-        return self.value == other
-
-    def __repr__(self):
-        tag = "" if self.certified else " (uncertified)"
-        return f"MaxDeg({self.value}{tag})"
-
-
-def maxdeg(M: FIModule) -> MaxDeg:
-    """Maximum degree where the module is nonzero: -inf for zero, +inf when
-    certified by step maps being isomorphisms at the window end."""
-    vt = M.valid_through
-    m = last_nonzero(M.dims()[: vt + 1])
-    if m == -INF:
-        return MaxDeg(-INF, True)
-    if m < vt:
-        # pieces vanish strictly above m through the window end; within-window
-        # vanishing can only recur via new generators, which the window shows
-        return MaxDeg(m, M.torsion_hint or not any(M.dims()[m + 1:]))
-    # nonzero at the window end: +inf only if the last two steps are isomorphisms
-    if vt >= 2:
-        iso = all(
-            M.dim(n) == M.dim(n + 1) and rank(M.steps[n]) == M.dim(n)
-            for n in (vt - 2, vt - 1)
-        )
-        if iso:
-            return MaxDeg(INF, True)
-    return MaxDeg(m, False)

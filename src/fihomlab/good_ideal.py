@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .fields import Field, FieldError
 from .linalg import Matrix
 from .permutations import all_permutations
-from .reps import SnRep, basic_rep, external_tensor, induce_young, subrep_span
+from .reps import SnRep, basic_rep, induce_young, subrep_span
 
 INF = math.inf
 
@@ -70,8 +71,16 @@ class NuValue:
         return f"NuValue({self.value})"
 
 
+def default_p(field: Field) -> int:
+    """The block size used unless a job chooses one: 2, or 3 in
+    characteristic 2, where 2 is not invertible."""
+    return 3 if field.characteristic == 2 else 2
+
+
+@cache
 def good_ideal(p: int, field: Field) -> GoodIdeal:
-    """The good-ideal generator for block size p, verified at construction."""
+    """The good-ideal generator for block size p, verified at its first
+    construction for each ``(p, field)``; a failure raises and is not kept."""
     if p not in (2, 3):
         raise GoodIdealError("good ideals are available for p = 2 and p = 3 only")
     if field.characteristic == p:
@@ -97,9 +106,7 @@ def two_sided_ideal_dimension(gi: GoodIdeal) -> int:
 
 def induced_sign_rep(p: int, field: Field) -> SnRep:
     """Ind_{S_{p-1}}^{S_p}(sgn_{p-1})."""
-    return induce_young(
-        external_tensor(basic_rep("sign", p - 1, field), basic_rep("trivial", 1, field))
-    )
+    return induce_young(basic_rep("sign", p - 1, field), basic_rep("trivial", 1, field))
 
 
 def verify_good_ideal(gi: GoodIdeal) -> dict:

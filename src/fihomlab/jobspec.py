@@ -4,7 +4,7 @@ Grammar (one statement per line, ``#`` starts a comment)::
 
     field Q | F<q>
     window <N>
-    policy imax <k> | lcoh-imax <k> | nu-p <2|3>
+    policy nu-p <2|3>
     rep <name> <trivial|sign|regular|natural> <degree>
     module <name> constant
     module <name> induced <rep>
@@ -54,14 +54,13 @@ class JobSpec:
     modules: dict        # name -> tuple construction
     morphisms: dict      # name -> ("induced", rep, target, entries tuple-of-tuples)
     tasks: list          # (task, module-name or None)
-    policy: dict         # imax / lcoh-imax / nu-p
+    policy: dict         # nu-p, when the job sets it
     order: list          # module and morphism names in definition order
 
     def canonical_text(self) -> str:
         out = [f"field {self.field.name}", f"window {self.window}"]
-        for key in ("imax", "lcoh-imax", "nu-p"):
-            if key in self.policy:
-                out.append(f"policy {key} {self.policy[key]}")
+        if "nu-p" in self.policy:
+            out.append(f"policy nu-p {self.policy['nu-p']}")
         for name, (kind, deg) in self.reps.items():
             out.append(f"rep {name} {kind} {deg}")
         for name in self.order:
@@ -105,13 +104,10 @@ def parse_spec(text: str) -> JobSpec:
                 if window < 0:
                     errors.append((ln, "window must be nonnegative"))
             elif head == "policy":
-                key = parts[1]
-                if key in ("imax", "lcoh-imax", "nu-p"):
-                    policy[key] = int(parts[2])
-                    if key != "nu-p" and policy[key] < 0:
-                        errors.append((ln, f"{key} must be nonnegative"))
+                if parts[1] == "nu-p":
+                    policy["nu-p"] = int(parts[2])
                 else:
-                    errors.append((ln, f"unknown policy knob {key!r}"))
+                    errors.append((ln, f"unknown policy knob {parts[1]!r}"))
             elif head == "rep":
                 name, kind, deg = parts[1], parts[2], int(parts[3])
                 if known(name):

@@ -1,10 +1,12 @@
 """Local cohomology via the shift recursion, and the main verification harness.
 
 The zeroth local cohomology is the torsion submodule.  Higher groups come
-from the recursion: shift until semi-induced, take the cokernel of the
-canonical map into the shift, and step the cohomological index down by one.
-Each level runs one shift search, which ends the recursion at b = 0, and
-records its shift and cokernel dimensions.  Only the dimensions of each H^i
+from the recursion: shift until semi-induced (Tor_1 and Tor_2 vanish on the
+certified degrees), take the cokernel of the canonical map into the shift,
+and step the cohomological index down by one.  Each level runs one shift
+search, which ends the recursion at b = 0, and records its shift and
+cokernel dimensions; every other level shifts by b >= 1 and so shrinks the
+window, which bounds the depth without a cap.  Only the dimensions of each H^i
 are needed, so they come from ranks, as does the kernel of the canonical
 map that cross-checks them; the shift and its cokernel are the modules a
 level builds.  The regularity identity is then checked against the Tor
@@ -24,56 +26,39 @@ from .fimod import (
     cokernel,
     fi_shift,
     last_nonzero,
-    maxdeg,
     natural_shift_map,
     torsion_submodule,
 )
-from .good_ideal import GoodIdeal, good_ideal, nu
+from .good_ideal import GoodIdeal, default_p, good_ideal, nu
 from .linalg import InvariantViolation, rank
 from .tor import TorTable, regularity, tor_rep, tor_table
 
 INF = math.inf
 
 
-@dataclass
-class Policy:
-    """Knobs for semi-inducedness testing, recursion depth, and certificates."""
-
-    i_max: int = 2                 # Tor vanishing depth for semi-induced tests
-    lcoh_i_max: int = 6            # recursion depth cap
-    nu_p: int | None = None        # None: 2 unless char 2, else 3
-
-    def choose_p(self, field) -> int:
-        if self.nu_p is not None:
-            return self.nu_p
-        return 3 if field.characteristic == 2 else 2
-
-
-def is_semi_induced(M: FIModule, policy: Policy | None = None) -> str:
-    """Window-relative test: 'yes' iff Tor_i vanishes for 1 <= i <= policy.i_max
-    on every certified degree."""
-    policy = policy or Policy()
+def is_semi_induced(M: FIModule) -> str:
+    """Window-relative test: 'yes' iff Tor_1 and Tor_2 vanish on every
+    certified degree."""
     if M.is_zero():
         return "yes"
     if M.valid_through < 1:
         return "uncertified"
-    table = tor_table(M, i_max=min(policy.i_max, M.valid_through))
+    table = tor_table(M, i_max=min(2, M.valid_through))
     if any(i >= 1 for (i, n) in table.entries):
         return "no"
     # generators at the top of the window could hide higher Tor just beyond
     # it, so a positive answer needs the generator row to clear the window end
-    if not table.row_certified(0) and not M.is_zero():
+    if not table.row_certified(0):
         return "uncertified"
     return "yes"
 
 
-def min_acyclic_shift(M: FIModule, policy: Policy | None = None) -> tuple[int, FIModule]:
+def min_acyclic_shift(M: FIModule) -> tuple[int, FIModule]:
     """``(b, S)``: the least b with ``S = fi_shift(M, b)`` testing semi-induced;
     each probe is the last one shifted by one."""
-    policy = policy or Policy()
     for b in range(M.valid_through + 1):
         S = fi_shift(S, 1) if b else M
-        if is_semi_induced(S, policy) == "yes":
+        if is_semi_induced(S) == "yes":
             return b, S
     raise WindowExhausted(
         f"no semi-induced shift found up to b = {M.valid_through}; window insufficient"
@@ -85,12 +70,12 @@ class LocCohTable:
     rows: dict                # i -> H^i, the fimod.TorsionPart of level i
     depth: int                # first level at which the recursion terminated
     trace: list               # (shift b, cokernel dims) per level
-    complete: bool            # False when the window or lcoh_i_max cut the recursion
+    complete: bool            # False when the window ran out
     window: int
 
     def h(self, i):
         row = self.rows.get(i)
-        return -INF if row is None else row.maxdeg.value
+        return -INF if row is None else row.maxdeg
 
     def max_h_plus_i(self):
         vals = [self.h(i) + i for i in self.rows if self.h(i) != -INF]
@@ -106,11 +91,15 @@ class LocCohTable:
         return None
 
 
-def local_cohomology(M: FIModule, policy: Policy | None = None) -> LocCohTable:
+def local_cohomology(M: FIModule) -> LocCohTable:
     """The dimensions of all H^i via the shift recursion.  At every level the
     torsion dimensions are cross-checked against the nullities of the
-    canonical map into the shift."""
-    policy = policy or Policy()
+    canonical map into the shift.
+
+    A level that goes on has a shift b >= 1, so the next cokernel's window is
+    smaller by at least one: the recursion ends by itself, at depth at most
+    ``M.window + 1``, and is incomplete only when a search exhausts the
+    window."""
     rows = {}
     trace = []
     cur = M
@@ -118,13 +107,10 @@ def local_cohomology(M: FIModule, policy: Policy | None = None) -> LocCohTable:
     complete = True
     while True:
         try:
-            b, S = min_acyclic_shift(cur, policy)
+            b, S = min_acyclic_shift(cur)
         except WindowExhausted:
             b = S = None
         if b == 0:  # semi-induced
-            break
-        if level > policy.lcoh_i_max:
-            complete = False
             break
         tp = torsion_submodule(cur)
         if any(tp.dims):
@@ -174,14 +160,13 @@ class TheoremReport:
     uncertified_rows: list
 
 
-def verify_main_theorem(M: FIModule, policy: Policy | None = None,
-                        gi: GoodIdeal | None = None) -> TheoremReport:
+def verify_main_theorem(M: FIModule, gi: GoodIdeal | None = None) -> TheoremReport:
     """Check the regularity / local cohomology identity on one module, with
-    the two sides computed by independent pipelines."""
-    policy = policy or Policy()
+    the two sides computed by independent pipelines; ``gi`` certifies the
+    contributing rows, by default the good ideal of :func:`default_p`."""
     table = tor_table(M)
     reg_report = regularity(M, table=table)
-    lcoh = local_cohomology(M, policy=policy)
+    lcoh = local_cohomology(M)
 
     t0 = table.t(0)
     mh = lcoh.max_h_plus_i()
@@ -214,7 +199,7 @@ def verify_main_theorem(M: FIModule, policy: Policy | None = None,
     certs = []
     if mh != -INF and stable_from is not None:
         if gi is None:
-            gi = good_ideal(policy.choose_p(M.field), M.field)
+            gi = good_ideal(default_p(M.field), M.field)
         r = lcoh.min_row_attaining()
         rho = int(mh)
         for n in stable_checked:
@@ -255,7 +240,7 @@ def _is_torsion(M: FIModule) -> bool:
     return M.torsion_hint or torsion_submodule(M).dims == M.dims()
 
 
-def nu_certificate(X, gi: GoodIdeal, policy: Policy | None = None) -> list:
+def nu_certificate(X, gi: GoodIdeal) -> list:
     """Certificates for the nu values of top-degree Tor pieces.
 
     ``X`` is a torsion FI-module (expected nu is n in the top degree) or a
@@ -266,10 +251,10 @@ def nu_certificate(X, gi: GoodIdeal, policy: Policy | None = None) -> list:
     if isinstance(X, FIModule):
         if not _is_torsion(X):
             raise InputError("nu_certificate on a module requires a torsion module")
-        md = maxdeg(X)
-        if md.value == -INF:
+        top = last_nonzero(X.dims()[: X.valid_through + 1])
+        if top == -INF:
             return []
-        rho = int(md.value)
+        rho = int(top)
         return [_nu_cert(partial(tor_rep, X), n, rho, n, gi)
                 for n in range(0, X.valid_through - rho + 1)]
     # complex case

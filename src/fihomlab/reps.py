@@ -133,31 +133,14 @@ def restrict_rep(rep: SnRep, m: int) -> SnRep:
     return SnRep(m, rep.field, rep.gens[: max(m - 1, 0)], dim=rep.dim, check=False)
 
 
-class BlockRep:
-    """An external tensor U boxtimes W: a representation of S_a x S_b, with
-    (U basis) major and (W basis) minor."""
-
-    def __init__(self, U: SnRep, W: SnRep):
-        if U.field != W.field:
-            raise FieldError("external tensor over mixed fields")
-        self.U = U
-        self.W = W
-        self.a = U.n
-        self.b = W.n
-        self.field = U.field
-        self.dim = U.dim * W.dim
-
-
-def external_tensor(U: SnRep, W: SnRep) -> BlockRep:
-    return BlockRep(U, W)
-
-
-def induce_young(block: BlockRep) -> SnRep:
-    """Induction Ind_{S_a x S_b}^{S_n} of an external tensor, n = a + b.
+def induce_young(U: SnRep, W: SnRep) -> SnRep:
+    """Induction Ind_{S_a x S_b}^{S_n} of the external tensor U boxtimes W of
+    an S_a- and an S_b-representation, n = a + b.
 
     Basis: for each a-subset S of {1..n} in lexicographic order (S marks
-    where the first block lands), a copy of the U tensor W basis transported
-    by the order-preserving coset representative.  Column block S of s_i is:
+    where the first block lands), a copy of the U tensor W basis, (U basis)
+    major and (W basis) minor, transported by the order-preserving coset
+    representative.  Column block S of s_i is:
 
     - i and i+1 both in S, i at position k of S: ``U(s_k) (x) 1_W`` on the
       diagonal;
@@ -165,10 +148,11 @@ def induce_young(block: BlockRep) -> SnRep:
       on the diagonal;
     - exactly one in S: the identity, at the row of S with i, i+1 swapped.
     """
-    U, W = block.U, block.W
-    a, n = block.a, block.a + block.b
-    field = block.field
-    inner = block.dim
+    if U.field != W.field:
+        raise FieldError("external tensor over mixed fields")
+    a, n = U.n, U.n + W.n
+    field = U.field
+    inner = U.dim * W.dim
     subsets = list(combinations(range(1, n + 1), a))
     dim = inner * len(subsets)
     sub_index = {s: k for k, s in enumerate(subsets)}

@@ -46,10 +46,10 @@ from .fimod import (
     induced_morphism,
     kernel,
 )
-from .good_ideal import good_ideal, verify_good_ideal
+from .good_ideal import default_p, good_ideal, verify_good_ideal
 from .jobspec import JobSpec
 from .linalg import Matrix
-from .loccoh import Policy, local_cohomology, nu_certificate, verify_main_theorem
+from .loccoh import local_cohomology, nu_certificate, verify_main_theorem
 from .report import (
     REPORT_SCHEMA,
     lcoh_data,
@@ -135,17 +135,6 @@ class RunResult:
         return "\n".join(lines) + "\n"
 
 
-def policy_from_job(job: JobSpec) -> Policy:
-    pol = Policy()
-    if "imax" in job.policy:
-        pol.i_max = job.policy["imax"]
-    if "lcoh-imax" in job.policy:
-        pol.lcoh_i_max = job.policy["lcoh-imax"]
-    if "nu-p" in job.policy:
-        pol.nu_p = job.policy["nu-p"]
-    return pol
-
-
 def build_objects(job: JobSpec) -> dict:
     """Materialize every module and morphism of a job, in order.
 
@@ -222,8 +211,12 @@ def failure_status(exc: Exception) -> tuple[str, dict]:
 # -- task execution ----------------------------------------------------
 
 
-def run_task(task: str, modname, built: dict, job: JobSpec,
-             policy: Policy) -> TaskResult:
+def _job_ideal(job: JobSpec):
+    """The good ideal that certifies nu: the job's ``nu-p``, or the default."""
+    return good_ideal(job.policy.get("nu-p") or default_p(job.field), job.field)
+
+
+def run_task(task: str, modname, built: dict, job: JobSpec) -> TaskResult:
     field = job.field
     M: FIModule | None = built[modname] if modname else None
     t0 = time.monotonic()
@@ -261,16 +254,15 @@ def run_task(task: str, modname, built: dict, job: JobSpec,
             )
             status = "ok" if rep.certified or bounded else "window"
         elif task == "lcoh":
-            table = local_cohomology(M, policy=policy)
+            table = local_cohomology(M)
             data = lcoh_data(table)
             status = "ok" if table.complete else "window"
         elif task == "nu":
-            gi = good_ideal(policy.choose_p(field), field)
-            certs = nu_certificate(M, gi, policy)
+            certs = nu_certificate(M, _job_ideal(job))
             data = {"certificates": nu_certs_data(certs)}
             status = "ok" if all(c.passed for c in certs) else "fail"
         else:  # verify; parse_spec admits no other task
-            rep = verify_main_theorem(M, policy)
+            rep = verify_main_theorem(M, _job_ideal(job))
             data = theorem_data(rep)
             status = {"PASS": "ok", "FAIL": "fail", "UNCERTIFIED": "window"}[rep.verdict]
     except Exception as exc:
@@ -359,7 +351,6 @@ def _write_cache_entry(cpath: Path, entry: dict):
 
 
 def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
-    policy = policy_from_job(job)
     t0 = time.monotonic()
     cdir = cache_dir()
     paths = [cdir / f"{task_cache_key(job, task, modname)}.json"
@@ -385,7 +376,7 @@ def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
         if cached is not None:
             results.append(TaskResult(task, modname, *cached, 0.0, cached=True))
             continue
-        res = run_task(task, modname, built, job, policy)
+        res = run_task(task, modname, built, job)
         results.append(res)
         if use_cache and res.status in CACHED_STATUSES:
             _write_cache_entry(cpath, {"status": res.status, "data": res.data})

@@ -20,7 +20,7 @@ from .linalg import (
     kernel_basis,
     rank,
 )
-from .reps import SnRep, basic_rep, external_tensor, induce_young, zero_rep
+from .reps import SnRep, basic_rep, induce_young, zero_rep
 
 INF = math.inf
 
@@ -73,7 +73,7 @@ def _koszul_term(pieces, n, field, i) -> SnRep:
     piece = pieces[n - i]
     if piece.dim == 0:
         return zero_rep(n, field)
-    return induce_young(external_tensor(basic_rep("sign", i, field), piece))
+    return induce_young(basic_rep("sign", i, field), piece)
 
 
 def koszul_strand(M: FIModule, n: int, deep: bool = False) -> StrandComplex:

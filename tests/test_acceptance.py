@@ -36,7 +36,7 @@ from fihomlab.linalg import Matrix, SubquotientSpace
 from fihomlab.loccoh import nu_certificate, verify_main_theorem
 from fihomlab.permutations import Permutation
 from fihomlab.report import dumps_report
-from fihomlab.reps import SnRep, basic_rep, external_tensor, induce_young
+from fihomlab.reps import SnRep, basic_rep, induce_young
 from fihomlab.tor import koszul_strand, strand_homology_dim, tor_rep, tor_table
 
 
@@ -109,9 +109,7 @@ def test_criterion_02_tor_of_concentrated_torsion():
                     for p in range(1, window - d + 1):
                         n = d + p
                         got = tor_rep(T, p, n)
-                        expected = induce_young(
-                            external_tensor(V, basic_rep("sign", p, field))
-                        )
+                        expected = induce_young(V, basic_rep("sign", p, field))
                         assert got.dim == expected.dim
                         assert character(got) == character(expected)
 
@@ -154,9 +152,7 @@ def test_criterion_04_nu_values_and_min_rule():
                     for k in range((p - 1) * d, 8 - d):
                         if k < 1:
                             continue
-                        ind = induce_young(
-                            external_tensor(M, basic_rep("sign", k, field))
-                        )
+                        ind = induce_young(M, basic_rep("sign", k, field))
                         assert nu(ind, gi) == k, (p, d, kind, k)
         # min rule on short exact sequences from invariant subspaces
         for field in (QQ, GF(5), GF(7)):

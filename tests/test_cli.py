@@ -164,6 +164,40 @@ def test_the_removed_policy_knob_is_an_unknown_knob(tmp_path, capsys):
     assert "unknown policy knob 'assume-window-sufficient'" in capsys.readouterr().err
 
 
+# a job that `policy imax 0` once turned into a false FAIL (reg 1 = rhs 1)
+TORSION_1 = ("field F5\nwindow 6\nrep t trivial 1\nmodule T torsion t 1\n"
+             "module A constant\nmodule S sum A T\n")
+
+
+@pytest.mark.parametrize("line", ["policy imax 0", "policy imax 2",
+                                  "policy lcoh-imax 6"])
+def test_the_recursion_knobs_are_unknown(tmp_path, capsys, line):
+    path = tmp_path / "old.job"
+    path.write_text(TORSION_1 + line + "\ntask verify T\n")
+    assert main(["run", str(path), "--no-cache"]) == 3
+    knob = line.split()[1]
+    assert f"unknown policy knob '{knob}'" in capsys.readouterr().err
+
+
+def test_the_job_a_knob_once_failed_verifies(tmp_path, capsys):
+    path = tmp_path / "t1.job"
+    path.write_text(TORSION_1 + "task verify T\ntask verify S\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--no-cache", "--out", str(out)]) == 0
+    tasks = json.loads((out / "report.json").read_text())["tasks"]
+    assert [(t["module"], t["data"]["verdict"], t["data"]["lhs"], t["data"]["rhs"])
+            for t in tasks] == [("T", "PASS", 1, 1), ("S", "PASS", 1, 1)]
+
+
+def test_the_imax_flag_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "t1.job"
+    path.write_text(TORSION_1 + "task verify T\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path), "--imax", "2"])
+    assert exc.value.code == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_field_override_revalidates(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FIHOMLAB_CACHE_DIR", str(tmp_path / "cache"))
     path = tmp_path / "p3.job"
@@ -177,6 +211,7 @@ def test_field_override_revalidates(tmp_path, monkeypatch, capsys):
 BAD = "field F5\nwindow 3\nmodule A constant\nrep v trivial 1\n"
 INVALID_INPUTS = {
     "nu-on-non-torsion": (BAD + "task nu A\n", []),
+    # imax and lcoh-imax are unknown policy knobs, whatever their value
     "negative-imax": (BAD + "policy imax -5\ntask tor A\n", []),
     "negative-lcoh-imax": (BAD + "policy lcoh-imax -1\ntask lcoh A\n", []),
     "zero-denominator": (BAD + "morphism f induced v A 1/0\ntask tor A\n", []),

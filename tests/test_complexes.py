@@ -19,8 +19,6 @@ from fihomlab.fimod import (
     fi_constant,
     fi_torsion_concentrated,
     fi_truncate,
-    last_nonzero,
-    maxdeg,
     subquotient_module,
     truncation_morphism,
 )
@@ -162,8 +160,3 @@ def test_cohomology_dims_match_the_subquotient_oracle(field, seed, induced, wind
     assert sorted(dims) == sorted(coh)
     for i, h in coh.items():
         assert dims[i] == h.dims()[: C.valid_through + 1]
-        # +inf (nonzero through the window end with iso steps) is the one
-        # value that the last nonzero degree does not give
-        expected = maxdeg(h).value
-        assert last_nonzero(dims[i]) == (C.valid_through if expected == math.inf
-                                         else expected)

@@ -24,7 +24,7 @@ from fihomlab.fimod import (
     image,
     induced_morphism,
     kernel,
-    maxdeg,
+    last_nonzero,
     natural_shift_map,
     subquotient_module,
     torsion_submodule,
@@ -79,11 +79,12 @@ def test_torsion_submodule_of_induced_is_zero(field):
 
 def test_maxdeg(field):
     T = fi_torsion_concentrated(basic_rep("trivial", 2, field), 2, W)
-    md = maxdeg(T)
-    assert md.value == 2 and md.certified
-    assert maxdeg(zero_module(field, W)).value == -math.inf
-    A = fi_constant(field, W)
-    assert maxdeg(A).value == math.inf
+    assert torsion_submodule(T).maxdeg == 2
+    assert torsion_submodule(zero_module(field, W)).maxdeg == -math.inf
+    # a torsion part computed from ranks, not read off a torsion module
+    mix = direct_sum(fi_induced(basic_rep("sign", 2, field), W), T)
+    assert torsion_submodule(mix).maxdeg == 2
+    assert torsion_submodule(fi_constant(field, W)).maxdeg == -math.inf
 
 
 def test_shift_of_torsion_drops_degree(field):
@@ -187,7 +188,7 @@ def assert_torsion_matches_oracle(M):
     T, certified_through = subquotient_torsion(M)
     assert tp.dims == T.dims()
     assert tp.certified_through == certified_through
-    assert tp.maxdeg == maxdeg(T)
+    assert tp.maxdeg == last_nonzero(T.dims()[: M.valid_through + 1])
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from conftest import orbit_span_subrep, random_rep
 from fihomlab.fields import GF, QQ
 from fihomlab.good_ideal import (
     GoodIdealError,
+    default_p,
     good_ideal,
     ideal_operators,
     nu,
@@ -20,6 +22,9 @@ from fihomlab.good_ideal import (
 from fihomlab.linalg import Matrix, SubquotientSpace
 from fihomlab.permutations import Permutation
 from fihomlab.reps import SnRep, basic_rep
+
+# the package binds the name good_ideal to the function
+good_ideal_module = importlib.import_module("fihomlab.good_ideal")
 
 FIELDS_P2 = [QQ, GF(3), GF(5), GF(7)]
 FIELDS_P3 = [QQ, GF(2), GF(5), GF(7)]
@@ -42,6 +47,35 @@ def test_wrong_characteristic_rejected():
         good_ideal(2, GF(2))
     with pytest.raises(GoodIdealError):
         good_ideal(3, GF(3))
+
+
+def test_each_good_ideal_is_verified_once(monkeypatch):
+    runs = []
+    real = good_ideal_module.verify_good_ideal
+    monkeypatch.setattr(good_ideal_module, "verify_good_ideal",
+                        lambda gi: runs.append(gi) or real(gi))
+    good_ideal.cache_clear()
+    try:
+        assert good_ideal(2, GF(7)) is good_ideal(2, GF(7))
+        assert len(runs) == 1
+        for _ in range(2):  # a refusal is raised afresh, never kept
+            with pytest.raises(GoodIdealError):
+                good_ideal(7, GF(7))
+            with pytest.raises(GoodIdealError):
+                good_ideal(2, GF(2))
+        # an ideal whose axioms fail is checked again on the next call
+        monkeypatch.setattr(good_ideal_module, "verify_good_ideal",
+                            lambda gi: runs.append(gi) or {"all_pass": False})
+        for _ in range(2):
+            with pytest.raises(GoodIdealError):
+                good_ideal(3, GF(7))
+        assert len(runs) == 3
+    finally:
+        good_ideal.cache_clear()
+
+
+def test_default_block_size_is_invertible():
+    assert [default_p(f) for f in (QQ, GF(2), GF(3), GF(5))] == [2, 3, 2, 2]
 
 
 def regular_g(gi):

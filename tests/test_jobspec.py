@@ -10,7 +10,7 @@ GOOD = """
 # comment line
 field F5
 window 5
-policy imax 2
+policy nu-p 2
 rep v sign 2          # trailing comment
 module A constant
 morphism f induced v A 0;0;0

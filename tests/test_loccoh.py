@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import ORACLE_KINDS, oracle_module
 
 from fihomlab.complexes import FIComplex
-from fihomlab.fields import GF
+from fihomlab.fields import GF, QQ
 from fihomlab.fimod import (
     InputError,
     WindowExhausted,
@@ -20,7 +24,6 @@ from fihomlab.jobspec import parse_spec
 from fihomlab import loccoh
 from fihomlab.linalg import InvariantViolation, Matrix
 from fihomlab.loccoh import (
-    Policy,
     is_semi_induced,
     local_cohomology,
     min_acyclic_shift,
@@ -28,7 +31,7 @@ from fihomlab.loccoh import (
     verify_main_theorem,
 )
 from fihomlab.reps import basic_rep
-from fihomlab.runner import build_objects, policy_from_job
+from fihomlab.runner import build_objects
 
 W = 6
 
@@ -92,22 +95,24 @@ def test_positive_part_has_h1_in_degree_zero(field):
     assert table.max_h_plus_i() == 1
 
 
-# the level-1 cokernel of Aplus is k in degree 0; its shift Σ_1 is zero
-# and semi-induced, so the recursion ends at level 2 unless the cap cuts it
-LEVEL_1 = (1, [1, 0, 0, 0, 0, 0])
-LEVEL_2 = (1, [0, 0, 0, 0, 0])
+def test_recursion_ends_by_itself(field):
+    # the level-1 cokernel of Aplus is k in degree 0; its shift Σ_1 is zero
+    # and semi-induced, so the recursion ends at level 2
+    table = local_cohomology(positive_part(field))
+    assert (table.complete, table.depth) == (True, 2)
+    assert {i: row.dims for i, row in table.rows.items()} == {1: [1, 0, 0, 0, 0, 0]}
+    assert table.trace == [(1, [1, 0, 0, 0, 0, 0]), (1, [0, 0, 0, 0, 0])]
 
 
-@pytest.mark.parametrize("cap, complete, depth, rows, trace", [
-    (0, False, 1, {}, [LEVEL_1]),
-    (1, True, 2, {1: [1, 0, 0, 0, 0, 0]}, [LEVEL_1, LEVEL_2]),
-    (2, True, 2, {1: [1, 0, 0, 0, 0, 0]}, [LEVEL_1, LEVEL_2]),
-])
-def test_recursion_depth_cap(field, cap, complete, depth, rows, trace):
-    table = local_cohomology(positive_part(field), Policy(lcoh_i_max=cap))
-    assert (table.complete, table.depth) == (complete, depth)
-    assert {i: row.dims for i, row in table.rows.items()} == rows
-    assert table.trace == trace
+@settings(max_examples=20, deadline=None)
+@given(field=st.sampled_from([QQ, GF(5)]), kind=st.sampled_from(ORACLE_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_recursion_depth_is_bounded_by_the_window(field, kind, seed):
+    # each level that goes on shifts by b >= 1 and so shrinks the window
+    M = oracle_module(kind, field, random.Random(seed))
+    table = local_cohomology(M)
+    assert table.depth <= M.window + 1
+    assert len(table.trace) == table.depth
 
 
 def test_recursion_keeps_the_torsion_row_when_the_search_exhausts_the_window(field):
@@ -160,7 +165,7 @@ def test_low_reg_with_uncertified_rows_is_not_a_failure(field, window, verdict, 
     # Tor rows give reg 1 < rhs 2 while Tor_2 is still uncertified, which
     # only a larger window can settle
     job = parse_spec(f"field {field.name}\nwindow {window}\n{COKERNEL_JOB}")
-    rep = verify_main_theorem(build_objects(job)["s2C"], policy_from_job(job))
+    rep = verify_main_theorem(build_objects(job)["s2C"])
     assert rep.verdict == verdict
     assert (rep.lhs, rep.rhs) == (reg, 2)
     assert rep.uncertified_rows

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import conftest
 
-from fihomlab.fields import GF, QQ
+from fihomlab.fields import GF, QQ, FieldError
 from fihomlab.fimod import kernel
 from fihomlab.linalg import Matrix, kronecker
 from fihomlab.permutations import Permutation, all_permutations
@@ -16,7 +16,6 @@ from fihomlab.reps import (
     SnRep,
     basic_rep,
     direct_sum_reps,
-    external_tensor,
     induce_young,
     restrict_rep,
     zero_rep,
@@ -67,7 +66,7 @@ def test_induction_coxeter_deep(field, a_kind, a, b_kind, b):
     """Young induction produces a genuine representation (full Coxeter check)."""
     U = basic_rep(a_kind, a, field)
     W = basic_rep(b_kind, b, field)
-    ind = induce_young(external_tensor(U, W))
+    ind = induce_young(U, W)
     ind.verify()
     assert ind.dim == math.comb(a + b, a) * U.dim * W.dim
 
@@ -79,8 +78,7 @@ def test_induction_character_of_trivial_blocks():
 
     f = QQ
     a, b = 2, 2
-    ind = induce_young(
-        external_tensor(basic_rep("trivial", a, f), basic_rep("trivial", b, f)))
+    ind = induce_young(basic_rep("trivial", a, f), basic_rep("trivial", b, f))
     ind.verify()
     for p in all_permutations(a + b):
         m = ind.perm_matrix(p)
@@ -96,14 +94,18 @@ def test_induced_sign_block_total_sign():
     # On Ind(sgn_a x sgn_b), every permutation inside the Young subgroup acts
     # on the identity-coset line by its sign.
     f = QQ
-    ind = induce_young(
-        external_tensor(basic_rep("sign", 2, f), basic_rep("sign", 2, f)))
+    ind = induce_young(basic_rep("sign", 2, f), basic_rep("sign", 2, f))
     ind.verify()
     s1 = ind.perm_matrix(Permutation.adjacent(1, 4))
     s3 = ind.perm_matrix(Permutation.adjacent(3, 4))
     # identity coset is the lex-first subset (1,2): basis index 0
     assert conftest.entry(s1, 0, 0) == -1
     assert conftest.entry(s3, 0, 0) == -1
+
+
+def test_induction_over_mixed_fields_is_refused():
+    with pytest.raises(FieldError):
+        induce_young(basic_rep("trivial", 1, QQ), basic_rep("trivial", 1, GF(5)))
 
 
 def test_restrict_and_direct_sum(field):
@@ -128,14 +130,14 @@ def test_zero_rep(field):
 # index arithmetic and must give identical data.
 
 
-def coset_induce_young(block):
-    U, W, a = block.U, block.W, block.a
-    n = a + block.b
+def coset_induce_young(U, W):
+    field, a = U.field, U.n
+    n = a + W.n
     subsets = list(combinations(range(1, n + 1), a))
     index = {s: k for k, s in enumerate(subsets)}
     cosets = {s: Permutation(list(s) + [x for x in range(1, n + 1) if x not in s])
               for s in subsets}
-    inner = block.dim
+    inner = U.dim * W.dim
     dim = len(subsets) * inner
     gens = []
     for i in range(1, n):
@@ -148,14 +150,13 @@ def coset_induce_young(block):
             rho = Permutation([h(x) - a for x in range(a + 1, n + 1)])
             blocks.append((index[t] * inner, index[s] * inner,
                            kronecker(U.perm_matrix(pi), W.perm_matrix(rho))))
-        gens.append(Matrix.from_blocks(block.field, dim, dim, blocks))
-    return SnRep(n, block.field, gens, dim=dim, check=False)
+        gens.append(Matrix.from_blocks(field, dim, dim, blocks))
+    return SnRep(n, field, gens, dim=dim, check=False)
 
 
 def assert_same_induction(U, W):
-    block = external_tensor(U, W)
-    ind = induce_young(block)
-    expected = coset_induce_young(block)
+    ind = induce_young(U, W)
+    expected = coset_induce_young(U, W)
     assert (ind.n, ind.dim) == (expected.n, expected.dim)
     assert [g.data for g in ind.gens] == [g.data for g in expected.gens]
     ind.verify()

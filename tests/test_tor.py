@@ -285,10 +285,10 @@ def test_verify_tests_each_module_for_semi_inducedness_once(monkeypatch, name):
     seen = []  # keeps every argument alive, so that ids stay distinct
     test = loccoh.is_semi_induced
 
-    def counting(X, policy=None):
+    def counting(X):
         seen.append(X)
         calls[id(X)] += 1
-        return test(X, policy)
+        return test(X)
 
     monkeypatch.setattr(loccoh, "is_semi_induced", counting)
     assert verify_main_theorem(M).verdict == "PASS"
