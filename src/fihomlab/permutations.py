@@ -49,21 +49,6 @@ class Permutation:
             raise ValueError("degree mismatch")
         return Permutation(self.images[other.images[x - 1] - 1] for x in range(1, self.n + 1))
 
-    def inverse(self):
-        img = [0] * self.n
-        for x, y in enumerate(self.images, start=1):
-            img[y - 1] = x
-        return Permutation(img)
-
-    def sign(self):
-        inv = sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.images[i] > self.images[j]
-        )
-        return -1 if inv % 2 else 1
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 

@@ -30,41 +30,95 @@ class TorError(ValueError):
 
 
 class StrandComplex:
-    """A chain complex of S_n-representations in homological indices lo..hi.
+    """A chain complex of S_n-representations in homological indices lo..top,
+    built through term hi <= top.
 
     ``diffs[i]`` is the differential from term i to term i-1 (lo < i <= hi).
-    Only the term dimensions are stored: ``term(i)``, a builder the strand is
-    given, makes the representation on term i when a caller reads it.  The
-    builder may hold module pieces but never a module, since a module caches
-    its strands and a reference back would make a cycle.  The rank of each
-    differential is computed at most once.
+    A strand with hi < top is truncated: it holds no d_i past hi, so
+    :meth:`diff` and :meth:`rank` raise there rather than read a missing
+    differential as zero.  Only the term dimensions are stored: ``term(i)``,
+    a builder the strand is given, makes the representation on term i when a
+    caller reads it.  The builder may hold module pieces but never a module,
+    since a module caches its strands and a reference back would make a
+    cycle.
+
+    :func:`verify_strand` sets ``checked`` once d^2 = 0 holds, and ranks are
+    read only from a checked strand, because the bounds that settle most of
+    them rest on d^2 = 0.  Each rank is settled at most once.
 
     :func:`koszul_strand` builds the Koszul strand of a module (lo = 0,
-    hi = n) and ``complexes.total_strand`` the total strand of a complex.
+    top = n) and ``complexes.total_strand`` the total strand of a complex.
     """
 
-    __slots__ = ("n", "field", "lo", "hi", "dims", "diffs", "term", "_ranks")
+    __slots__ = ("n", "field", "lo", "hi", "top", "dims", "diffs", "term", "checked",
+                 "_ranks", "_lows")
 
-    def __init__(self, n, field, lo, hi, dims: dict, diffs: dict, term):
+    def __init__(self, n, field, lo, hi, dims: dict, diffs: dict, term, top=None):
         self.n = n
         self.field = field
         self.lo = lo
         self.hi = hi
+        self.top = hi if top is None else top
         self.dims = dims
         self.diffs = diffs
         self.term = term
+        self.checked = False
         self._ranks = {}
+        self._lows = {}
 
     def term_dim(self, i):
         return self.dims.get(i, 0)
 
+    def diff(self, i):
+        """``diffs[i]``; None where term i or i-1 lies outside lo..top (a
+        zero map), and a :class:`TorError` past the last built term."""
+        if not self.lo < i <= self.top:
+            return None
+        if i > self.hi:
+            raise TorError(f"strand at degree {self.n} is built through term {self.hi} "
+                           f"and has no differential d_{i}")
+        return self.diffs[i]
+
     def rank(self, i) -> int:
-        """Rank of ``diffs[i]``; zero outside lo+1..hi."""
-        if not self.lo < i <= self.hi:
+        """Rank of d_i: zero outside lo+1..top, and otherwise settled by
+        bounds or, where they differ, by elimination.
+
+        The lower bound (:meth:`_low`) counts independent rows.  The upper
+        bound is ``min(dim C_i - low(i+1), dim C_{i-1} - low(i-1))``: by
+        d^2 = 0 the image of d_{i+1} lies in the kernel of d_i, and the image
+        of d_i in the kernel of d_{i-1}.  Where the two meet the rank is
+        exact without elimination.
+        """
+        if not self.checked:
+            raise TorError(f"rank read from the strand at degree {self.n} before its d^2 check")
+        d = self.diff(i)
+        if d is None:
             return 0
         r = self._ranks.get(i)
         if r is None:
-            r = self._ranks[i] = rank(self.diffs[i])
+            low = self._low(i)
+            up = min(self.term_dim(i) - self._low(i + 1),
+                     self.term_dim(i - 1) - self._low(i - 1))
+            if low > up:
+                raise TorError(f"rank bounds {low} > {up} on d_{i} at degree {self.n}")
+            r = self._ranks[i] = low if low == up else rank(d)
+        return r
+
+    def _low(self, i) -> int:
+        """A lower bound on rank d_i: the rank if it is settled, else the
+        larger count of distinct first columns and of distinct last columns
+        among the rows (rows whose first columns differ pairwise are
+        independent, and so are rows whose last columns do); 0 where no d_i
+        is built."""
+        r = self._ranks.get(i)
+        if r is None:
+            r = self._lows.get(i)
+        if r is None:
+            if not self.lo < i <= self.hi:
+                return 0
+            rows = [row for row in self.diffs[i].data if row]
+            r = self._lows[i] = max(len({row[0][0] for row in rows}),
+                                    len({row[-1][0] for row in rows}))
         return r
 
 
@@ -76,18 +130,21 @@ def _koszul_term(pieces, n, field, i) -> SnRep:
     return induce_young(basic_rep("sign", i, field), piece)
 
 
-def koszul_strand(M: FIModule, n: int, deep: bool = False) -> StrandComplex:
-    """Build and d^2-check the degree-n strand afresh; :func:`cached_strand`
-    reuses one.  A local block inserts a letter at point q: the step into
-    degree m = n - i + 1, then the cycle ``(q ... m) = s_q (q+1 ... m)``, so
-    each block is one generator times the next, down from the step at q = m.
+def koszul_strand(M: FIModule, n: int, hi: int | None = None,
+                  deep: bool = False) -> StrandComplex:
+    """Build and d^2-check terms 0..hi of the degree-n strand afresh, all of
+    it by default; :func:`cached_strand` reuses one.  A local block inserts a
+    letter at point q: the step into degree m = n - i + 1, then the cycle
+    ``(q ... m) = s_q (q+1 ... m)``, so each block is one generator times the
+    next, down from the step at q = m.
     """
     if n > M.valid_through:
         raise TorError(f"strand at degree {n} needs valid window >= {n}")
+    hi = n if hi is None else min(hi, n)
     field = M.field
-    dims = {i: math.comb(n, i) * M.dim(n - i) for i in range(n + 1)}
+    dims = {i: math.comb(n, i) * M.dim(n - i) for i in range(hi + 1)}
     diffs = {}
-    for i in range(1, n + 1):
+    for i in range(1, hi + 1):
         dim_m = M.dim(n - i)
         dim_m1 = M.dim(n - i + 1)
         blocks = []
@@ -109,30 +166,37 @@ def koszul_strand(M: FIModule, n: int, deep: bool = False) -> StrandComplex:
                     blocks.append((idx1[T[:j] + T[j + 1:]] * dim_m1, k * dim_m,
                                    signed[j % 2][t - j - 1]))
         diffs[i] = Matrix.from_blocks(field, dims[i - 1], dims[i], blocks)
-    strand = StrandComplex(n, field, 0, n, dims, diffs,
-                           partial(_koszul_term, M.pieces, n, field))
+    strand = StrandComplex(n, field, 0, hi, dims, diffs,
+                           partial(_koszul_term, M.pieces, n, field), top=n)
     verify_strand(strand, deep=deep)
     return strand
 
 
-def cached_strand(M: FIModule, n: int) -> StrandComplex:
-    """The degree-n strand of M, built and d^2-checked once per module.
+def cached_strand(M: FIModule, n: int, hi: int | None = None) -> StrandComplex:
+    """The degree-n strand of M through term ``hi`` (all of it by default),
+    built and d^2-checked once per module.
 
-    Only strands that passed :func:`verify_strand` are kept, in
-    ``M.strands``, so they die with the module.
+    ``M.strands`` keeps the widest strand built per degree: it serves every
+    request it reaches, and a wider request replaces it by a new build.
+    Only strands that passed :func:`verify_strand` are kept, so they die
+    with the module.
     """
+    hi = n if hi is None else min(hi, n)
     strand = M.strands.get(n)
-    if strand is None:
-        strand = M.strands[n] = koszul_strand(M, n)
+    if strand is None or strand.hi < hi:
+        strand = M.strands[n] = koszul_strand(M, n, hi)
     return strand
 
 
 def verify_strand(strand: StrandComplex, deep: bool = False):
     """d^2 = 0 always; ``deep`` adds the equivariance check of every
-    differential (quadratic matrix work, exercised by the test suite)."""
+    differential (quadratic matrix work, exercised by the test suite).
+    Marks the strand ``checked`` once d^2 = 0 holds on every built term."""
+    strand.checked = False
     for i in range(strand.lo + 2, strand.hi + 1):
         if not (strand.diffs[i - 1] * strand.diffs[i]).is_zero():
             raise TorError(f"d^2 != 0 at strand term {i} (sign-convention bug)")
+    strand.checked = True
     if not deep:
         return
     tgt = strand.term(strand.lo)
@@ -147,25 +211,26 @@ def verify_strand(strand: StrandComplex, deep: bool = False):
 
 def _strand_homology_sq(strand: StrandComplex, i: int) -> SubquotientSpace:
     """Cycles modulo boundaries at term i, with quotient representatives."""
-    if i > strand.lo:
-        cycles = kernel_basis(strand.diffs[i])
+    d, boundaries = strand.diff(i), strand.diff(i + 1)
+    if d is not None:
+        cycles = kernel_basis(d)
     else:
         cycles = Matrix.identity(strand.field, strand.term_dim(i))
-    boundaries = strand.diffs[i + 1] if i < strand.hi else None
     return SubquotientSpace.from_sub_killed(cycles, boundaries)
 
 
 def strand_homology_dim(strand: StrandComplex, i: int) -> int:
     """dim C_i - rank d_i - rank d_{i+1}.  This counts cycles modulo
-    boundaries because boundaries lie in the cycles, which is d^2 = 0."""
-    if not strand.lo <= i <= strand.hi:
+    boundaries because boundaries lie in the cycles, which is d^2 = 0.
+    Raises on a truncated strand from its last built term on."""
+    if not strand.lo <= i <= strand.top:
         return 0
     return strand.term_dim(i) - strand.rank(i) - strand.rank(i + 1)
 
 
 def homology_rep(strand: StrandComplex, i: int) -> SnRep:
     """H_i of a strand, materialized as an honest S_n-representation."""
-    if not strand.lo <= i <= strand.hi:
+    if not strand.lo <= i <= strand.top:
         return zero_rep(strand.n, strand.field)
     sq = _strand_homology_sq(strand, i)
     gens = [sq.induced_map(g, sq) for g in strand.term(i).gens]
@@ -213,11 +278,14 @@ def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
     Row zero is cross-checked on every call against the generator-count
     oracle, which runs once per module; a mismatch is a hard internal
     failure.  By default the rows run up to the window minus the least
-    generator degree.
+    generator degree, over full strands that ``tor_rep``, hyper-Tor and nu
+    reuse; a caller's ``i_max`` asks only for the strand terms 0..i_max+1
+    that its rows read.
     """
     oracle = M.generators
     if oracle is None:
         oracle = M.generators = generation_degrees(M)
+    hi = None if i_max is None else i_max + 1
     if i_max is None:
         gen0 = next((n for n, d in enumerate(oracle) if d > 0), None)
         i_max = 0 if gen0 is None else max(M.valid_through - gen0, 0)
@@ -226,7 +294,7 @@ def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
     n_max = M.valid_through
     entries = {}
     for n in range(n_max + 1):
-        strand = cached_strand(M, n)
+        strand = cached_strand(M, n, hi)
         for i in range(0, min(i_max, n) + 1):
             d = strand_homology_dim(strand, i)
             if d:

@@ -20,19 +20,6 @@ def test_factor_adjacent_roundtrip(p):
     assert out == p
 
 
-@settings(max_examples=80, deadline=None)
-@given(perms)
-def test_sign_matches_word_length(p):
-    assert p.sign() == (-1) ** len(factor_adjacent(p))
-
-
-@settings(max_examples=60, deadline=None)
-@given(perms)
-def test_inverse(p):
-    assert p * p.inverse() == Permutation.identity(p.n)
-    assert p.inverse() * p == Permutation.identity(p.n)
-
-
 def test_composition_convention():
     # (sigma tau)(x) = sigma(tau(x))
     s = Permutation([2, 1, 3])
@@ -54,11 +41,3 @@ def test_all_permutations_lex_and_count():
     assert len(ps) == 24
     assert len({p.images for p in ps}) == 24
     assert [p.images for p in ps] == sorted(p.images for p in ps)
-
-
-@settings(max_examples=50, deadline=None)
-@given(perms, perms)
-def test_sign_multiplicative(p, q):
-    if p.n != q.n:
-        return
-    assert (p * q).sign() == p.sign() * q.sign()

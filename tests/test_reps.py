@@ -130,6 +130,22 @@ def test_zero_rep(field):
 # index arithmetic and must give identical data.
 
 
+def inverse(p):
+    """The inverse permutation, which only the coset oracle needs."""
+    img = [0] * p.n
+    for x, y in enumerate(p.images, start=1):
+        img[y - 1] = x
+    return Permutation(img)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+def test_inverse(images):
+    p = Permutation(images)
+    assert p * inverse(p) == Permutation.identity(p.n)
+    assert inverse(p) * p == Permutation.identity(p.n)
+
+
 def coset_induce_young(U, W):
     field, a = U.field, U.n
     n = a + W.n
@@ -145,7 +161,7 @@ def coset_induce_young(U, W):
         blocks = []
         for s in subsets:
             t = tuple(sorted(s_i(x) for x in s))
-            h = cosets[t].inverse() * s_i * cosets[s]
+            h = inverse(cosets[t]) * s_i * cosets[s]
             pi = Permutation([h(x) for x in range(1, a + 1)])
             rho = Permutation([h(x) - a for x in range(a + 1, n + 1)])
             blocks.append((index[t] * inner, index[s] * inner,

@@ -20,6 +20,7 @@ from conftest import (
 
 import fihomlab.complexes as complexes
 import fihomlab.fimod as fimod
+import fihomlab.linalg as linalg
 import fihomlab.loccoh as loccoh
 import fihomlab.tor as tor
 from fihomlab.complexes import (
@@ -38,6 +39,7 @@ from fihomlab.fimod import (
     fi_shift,
     fi_torsion_concentrated,
     generation_degrees,
+    induced_morphism,
     kernel,
 )
 from fihomlab.fields import GF, QQ
@@ -50,6 +52,7 @@ from fihomlab.tor import (
     TorError,
     _strand_homology_sq,
     cached_strand,
+    homology_rep,
     koszul_strand,
     regularity,
     strand_homology_dim,
@@ -218,11 +221,18 @@ def test_d2_guard_fires_on_a_perturbed_total_differential(field):
 
 
 def test_verify_builds_each_strand_once(monkeypatch):
+    """No strand is built twice, truncated or full: the shift probes build
+    narrow strands of modules whose full strands nothing reads, and the
+    module's own full strands serve its b = 0 probe and its nu certificates."""
     field = GF(5)
     mix = direct_sum(
         fi_induced(basic_rep("sign", 2, field), 6),
         fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 6),
     )
+    t2 = fi_torsion_concentrated(basic_rep("trivial", 2, field), 2, 7)
+    treg = fi_torsion_concentrated(basic_rep("regular", 2, field), 2, 7)
+    k = kernel(induced_morphism(basic_rep("trivial", 2, field), fi_constant(field, 7),
+                                Matrix.from_rows(field, [[1]])))
     builds = Counter()
     seen = []  # keeps every module alive, so that ids stay distinct
     build = tor.koszul_strand
@@ -233,9 +243,15 @@ def test_verify_builds_each_strand_once(monkeypatch):
         return build(M, n, *args, **kwargs)
 
     monkeypatch.setattr(tor, "koszul_strand", counting)
-    assert verify_main_theorem(mix).verdict == "PASS"
+    verdicts = [verify_main_theorem(M).verdict for M in (mix, t2, treg, k)]
+    assert verdicts == ["PASS", "PASS", "PASS", "UNCERTIFIED"]
+    assert any(c.status == "ok" for c in nu_certificate(t2, good_ideal(2, field)))
     assert builds and max(builds.values()) == 1
-    assert sorted(mix.strands) == list(range(mix.valid_through + 1))
+    for M in (mix, t2, treg, k):
+        assert sorted(M.strands) == list(range(M.valid_through + 1))
+        assert all(s.hi == s.top == n for n, s in M.strands.items())
+    # the shift probes built truncated strands only
+    assert any(s.hi < s.top for M in seen for s in M.strands.values())
 
 
 def test_verify_runs_the_generator_oracle_once_per_module(monkeypatch):
@@ -422,3 +438,119 @@ def test_construction_never_multiplies_out_a_permutation_word(monkeypatch):
               mods["Mix"], fi_shift(mods["Mix"], 2)):
         tor_table(M)
         local_cohomology(M)
+
+
+# -- ranks from certified bounds, and truncated strands ----------------
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(ORACLE_KINDS + ("complex",)), seed=st.integers(0, 2**32 - 1),
+       b=st.integers(0, 2), data=st.data())
+def test_rank_bounds_match_elimination(field, kind, seed, b, data):
+    """Every rank a built strand reports, whether its bounds settled it or
+    elimination did, in any order of reading, full or truncated."""
+    rng = random.Random(seed)
+    if kind == "complex":
+        f = random_induced_morphism(field, rng, 5)
+        C = FIComplex({0: f.source, 1: f.target}, {0: f})
+        strands = [total_strand(C, g) for g in range(C.valid_through + 1)]
+    else:
+        M = fi_shift(oracle_module(kind, field, rng), b)
+        strands = [koszul_strand(M, n, hi) for n in range(M.valid_through + 1)
+                   for hi in {n, min(n, data.draw(st.integers(0, 3)))}]
+    for strand in strands:
+        for i in data.draw(st.permutations(range(strand.lo + 1, strand.hi + 1))):
+            assert strand.rank(i) == linalg.rank(strand.diffs[i]), i
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**32 - 1),
+       b=st.integers(0, 2), i_max=st.integers(0, 3))
+def test_truncated_strands_and_tables_match_the_full_ones(field, kind, seed, b, i_max):
+    """A strand built through term hi has the full strand's differentials
+    d_1..d_hi, and ``tor_table(M, i_max)`` over truncated strands has the
+    rows 0..i_max of the full table, so the shift search reads the same
+    Tor_1 and Tor_2."""
+    full_M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
+    cut_M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
+    for n in range(full_M.valid_through + 1):
+        full = koszul_strand(full_M, n)
+        for hi in range(n + 1):
+            cut = koszul_strand(full_M, n, hi)
+            assert (cut.hi, cut.top) == (hi, n)
+            assert cut.diffs == {i: full.diffs[i] for i in range(1, hi + 1)}
+    i_max = min(i_max, cut_M.valid_through)
+    cut_table = tor_table(cut_M, i_max)
+    assert all(s.hi == min(n, i_max + 1) for n, s in cut_M.strands.items())
+    full_table = tor_table(full_M)
+    assert cut_table.entries == {(i, n): d for (i, n), d in full_table.entries.items()
+                                 if i <= i_max}
+    assert loccoh.is_semi_induced(cut_M) == loccoh.is_semi_induced(full_M)
+
+
+def test_a_truncated_strand_refuses_its_top_homology(field):
+    M = recursion_inputs(field, 5)["Mix"]
+    full, cut = koszul_strand(M, 4), koszul_strand(M, 4, 2)
+    for i in (0, 1):
+        assert strand_homology_dim(cut, i) == strand_homology_dim(full, i)
+    assert homology_rep(cut, 1) == homology_rep(full, 1)
+    for read in (lambda: strand_homology_dim(cut, 2), lambda: homology_rep(cut, 2),
+                 lambda: strand_homology_dim(cut, 3), lambda: cut.rank(3),
+                 lambda: cut.rank(4)):
+        with pytest.raises(TorError, match="built through term 2"):
+            read()
+    # past the top of the complex every differential is zero
+    assert cut.rank(5) == strand_homology_dim(cut, 5) == 0
+
+
+def test_ranks_are_read_only_from_a_checked_strand(monkeypatch):
+    field = GF(5)
+    monkeypatch.setattr(tor, "verify_strand", lambda strand, deep=False: None)
+    unchecked = koszul_strand(fi_constant(field, 4), 3)
+    monkeypatch.undo()
+    with pytest.raises(TorError, match="before its d\\^2 check"):
+        unchecked.rank(1)
+    with pytest.raises(TorError, match="before its d\\^2 check"):
+        strand_homology_dim(unchecked, 0)
+    verify_strand(unchecked)
+    assert [unchecked.rank(i) for i in range(1, 4)] == [1, 2, 1]
+    # a strand whose check fails is unmarked again
+    strand = koszul_strand(fi_constant(field, 4), 4)
+    d2, d3 = strand.diffs[2], strand.diffs[3]
+    k = next(k for k in range(d3.rows) if d3.data[k])
+    set_entry(d2, 0, k, (entry(d2, 0, k) + 1) % field.q)
+    with pytest.raises(TorError, match="d\\^2"):
+        verify_strand(strand)
+    with pytest.raises(TorError, match="before its d\\^2 check"):
+        strand.rank(2)
+
+
+def test_crossed_rank_bounds_raise():
+    # d_2 of the constant module's strand at n = 4 has rank 3; a 4 x 6
+    # replacement with four distinct first columns, put in after the check,
+    # gives a lower bound of 4 against the upper bound dim C_1 - rank d_1 = 3
+    field = GF(5)
+    strand = koszul_strand(fi_constant(field, 4), 4)
+    strand.diffs[2] = Matrix(field, 4, 6, [[(k, 1)] for k in range(4)])
+    with pytest.raises(TorError, match="rank bounds 4 > 3"):
+        strand.rank(2)
+
+
+def test_the_widest_strand_per_degree_is_kept(monkeypatch):
+    M = fi_constant(GF(5), 5)
+    builds = Counter()
+    build = tor.koszul_strand
+
+    def counting(X, n, hi=None, deep=False):
+        builds[(n, hi)] += 1
+        return build(X, n, hi, deep)
+
+    monkeypatch.setattr(tor, "koszul_strand", counting)
+    cut = cached_strand(M, 4, 2)
+    assert cached_strand(M, 4, 1) is cut and cached_strand(M, 4, 2) is cut
+    full = cached_strand(M, 4)
+    assert full is not cut and full.hi == 4 and M.strands[4] is full
+    assert cached_strand(M, 4, 3) is full and cached_strand(M, 4, 9) is full
+    assert builds == {(4, 2): 1, (4, 4): 1}
