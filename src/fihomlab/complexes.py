@@ -3,8 +3,10 @@
 Cohomological indexing: differentials raise the index by one.  Cohomology
 dimensions come from ranks of the differentials; no H^i module is built.
 Hyper-Tor in homological index n is the homology in index n of the total
-strand, a :class:`~fihomlab.tor.StrandComplex` built from the Koszul strands
-of every term.
+strand, a :class:`~fihomlab.tor.StrandComplex` over the Koszul strands of
+every term.  One total strand is kept per (complex, degree); each of its
+differentials is built, with the module differentials it holds, the first
+time a reader needs it, and is d^2-checked before it is kept.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from .tor import (
     cached_strand,
     homology_rep,
     strand_homology_dim,
-    verify_strand,
 )
 
 INF = math.inf
@@ -47,7 +48,7 @@ class FIComplex:
         self.valid_through = min(m.valid_through for m in self.terms.values())
         self.lo = min(self.terms)
         self.hi = max(self.terms)
-        # verified total strands by degree, filled by ``cached_total_strand``
+        # total strands by degree, filled by ``cached_total_strand``
         self.strands = {}
         if check:
             self.verify()
@@ -110,6 +111,22 @@ def _total_term(strands, g, field, k) -> SnRep:
     return direct_sum_reps(reps) if reps else zero_rep(g, field)
 
 
+def _total_diff(strands, deltas, offsets, dims, g, field, k) -> Matrix:
+    """Index k of a total differential: the module strands' Koszul
+    differentials and the complex differential on each Koszul block."""
+    tgt = offsets[k - 1]
+    blocks = []   # in increasing column offset
+    for (m, i), c0 in offsets[k].items():
+        if (m, i - 1) in tgt:
+            blocks.append((tgt[(m, i - 1)], c0, strands[m].diff(i)))
+        if (m + 1, i) in tgt:
+            blk = block_diag(field, [deltas[(m, i)]] * math.comb(g, i))
+            if i % 2:
+                blk = blk.scale(field.of(-1))
+            blocks.append((tgt[(m + 1, i)], c0, blk))
+    return Matrix.from_blocks(field, dims[k - 1], dims[k], blocks)
+
+
 def total_strand(C: FIComplex, g: int) -> StrandComplex:
     """Total complex of the Koszul strands of every term, in graded degree g.
 
@@ -129,29 +146,17 @@ def total_strand(C: FIComplex, g: int) -> StrandComplex:
                 offsets[k][(m, k + m)] = off
                 off += s.term_dim(k + m)
         dims[k] = off
-    diffs = {}
-    for k in range(lo + 1, hi + 1):
-        tgt = offsets[k - 1]
-        blocks = []   # in increasing column offset
-        for (m, i), c0 in offsets[k].items():
-            if (m, i - 1) in tgt:
-                blocks.append((tgt[(m, i - 1)], c0, strands[m].diffs[i]))
-            if (m + 1, i) in tgt:
-                delta = C.diff_matrix(m, g - i)
-                blk = block_diag(field, [delta] * math.comb(g, i))
-                if i % 2:
-                    blk = blk.scale(field.of(-1))
-                blocks.append((tgt[(m + 1, i)], c0, blk))
-        diffs[k] = Matrix.from_blocks(field, dims[k - 1], dims[k], blocks)
-    strand = StrandComplex(g, field, lo, hi, dims, diffs,
-                           partial(_total_term, strands, g, field))
-    verify_strand(strand)
-    return strand
+    # the complex differentials, taken here so that no builder holds C
+    deltas = {(m, i): C.diff_matrix(m, g - i)
+              for m in strands if m + 1 in strands for i in range(g + 1)}
+    return StrandComplex(g, field, lo, hi, dims,
+                         partial(_total_diff, strands, deltas, offsets, dims, g, field),
+                         partial(_total_term, strands, g, field))
 
 
 def cached_total_strand(C: FIComplex, g: int) -> StrandComplex:
-    """The total strand of C in degree g, built and d^2-checked once per
-    complex; only strands that passed the check are kept, in ``C.strands``."""
+    """The total strand of C in degree g, made once per complex and kept in
+    ``C.strands``."""
     strand = C.strands.get(g)
     if strand is None:
         strand = C.strands[g] = total_strand(C, g)
@@ -167,6 +172,7 @@ def hyper_tor(C: FIComplex, i_max: int) -> TorTable:
     n_max = C.valid_through
     for g in range(n_max + 1):
         total = cached_total_strand(C, g)
+        total.diff(min(i_max + 1, total.hi))
         for n in range(i_max + 1):
             d = strand_homology_dim(total, n)
             if d:

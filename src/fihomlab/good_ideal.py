@@ -60,7 +60,6 @@ class NuValue:
 
     value: float
     n: int
-    r_star: int | None = None
 
     def __eq__(self, other):
         if isinstance(other, NuValue):
@@ -154,7 +153,7 @@ def nu(rep: SnRep, gi: GoodIdeal) -> NuValue:
         if op.is_zero():  # and so is every later operator, a multiple of it
             break
         r_star = r
-    return NuValue(n - r_star, n, r_star)
+    return NuValue(n - r_star, n)
 
 
 def ideal_annihilates_bruteforce(gi: GoodIdeal, r: int, rep: SnRep) -> bool:
@@ -175,4 +174,4 @@ def nu_bruteforce(rep: SnRep, gi: GoodIdeal) -> NuValue:
     for r in range(1, n // gi.p + 1):
         if not ideal_annihilates_bruteforce(gi, r, rep):
             r_star = r
-    return NuValue(n - r_star, n, r_star)
+    return NuValue(n - r_star, n)

@@ -60,7 +60,7 @@ from .report import (
     tor_table_data,
 )
 from .reps import basic_rep
-from .tor import koszul_strand, regularity, strand_homology_dim, tor_table
+from .tor import koszul_strand, regularity, strand_homology_dim, tor_table, verify_equivariance
 
 INF = math.inf
 
@@ -226,7 +226,8 @@ def run_task(task: str, modname, built: dict, job: JobSpec) -> TaskResult:
             h0 = []
             positive = 0
             for n in range(window + 1):
-                strand = koszul_strand(A, n, deep=True)
+                strand = koszul_strand(A, n)
+                verify_equivariance(strand)
                 h0.append(strand_homology_dim(strand, 0))
                 positive += sum(strand_homology_dim(strand, i) for i in range(1, n + 1))
             ok = h0 == [1] + [0] * window and positive == 0

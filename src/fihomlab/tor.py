@@ -5,6 +5,10 @@ The strand at degree n has i-th term Ind over the Young subgroup of
 the i-subset of letters occupying the sign block, in lexicographic order.
 The differential moves one letter from the sign block into the module block
 through the step map, with the alternating sign of the letter's position.
+
+One strand is kept per (module, degree), and it builds each differential,
+d^2-checked, the first time a reader needs it: a shift probe reading
+Tor_0..Tor_2 builds the low terms alone, and a later full table grows them.
 """
 from __future__ import annotations
 
@@ -30,39 +34,30 @@ class TorError(ValueError):
 
 
 class StrandComplex:
-    """A chain complex of S_n-representations in homological indices lo..top,
-    built through term hi <= top.
+    """A chain complex of S_n-representations in homological indices lo..hi.
 
-    ``diffs[i]`` is the differential from term i to term i-1 (lo < i <= hi).
-    A strand with hi < top is truncated: it holds no d_i past hi, so
-    :meth:`diff` and :meth:`rank` raise there rather than read a missing
-    differential as zero.  Only the term dimensions are stored: ``term(i)``,
-    a builder the strand is given, makes the representation on term i when a
-    caller reads it.  The builder may hold module pieces but never a module,
-    since a module caches its strands and a reference back would make a
-    cycle.
+    Only the term dimensions are stored up front.  ``build(i)`` makes the
+    differential from term i to term i-1, which :meth:`diff` keeps in
+    ``diffs``, and ``term(i)`` the representation on term i.  The builders
+    may hold module pieces but never a module or a complex, since those
+    cache their strands and a reference back would make a cycle.
 
-    :func:`verify_strand` sets ``checked`` once d^2 = 0 holds, and ranks are
-    read only from a checked strand, because the bounds that settle most of
-    them rest on d^2 = 0.  Each rank is settled at most once.
-
-    :func:`koszul_strand` builds the Koszul strand of a module (lo = 0,
-    top = n) and ``complexes.total_strand`` the total strand of a complex.
+    :func:`koszul_strand` makes the Koszul strand of a module (lo = 0,
+    hi = n) and ``complexes.total_strand`` the total strand of a complex.
     """
 
-    __slots__ = ("n", "field", "lo", "hi", "top", "dims", "diffs", "term", "checked",
+    __slots__ = ("n", "field", "lo", "hi", "dims", "diffs", "build", "term",
                  "_ranks", "_lows")
 
-    def __init__(self, n, field, lo, hi, dims: dict, diffs: dict, term, top=None):
+    def __init__(self, n, field, lo, hi, dims: dict, build, term):
         self.n = n
         self.field = field
         self.lo = lo
         self.hi = hi
-        self.top = hi if top is None else top
         self.dims = dims
-        self.diffs = diffs
+        self.diffs = {}
+        self.build = build
         self.term = term
-        self.checked = False
         self._ranks = {}
         self._lows = {}
 
@@ -70,27 +65,34 @@ class StrandComplex:
         return self.dims.get(i, 0)
 
     def diff(self, i):
-        """``diffs[i]``; None where term i or i-1 lies outside lo..top (a
-        zero map), and a :class:`TorError` past the last built term."""
-        if not self.lo < i <= self.top:
+        """d_i, or None where term i or i-1 lies outside lo..hi (a zero map).
+
+        Builds every missing d_j, j <= i, in order, and keeps d_j only once
+        d_{j-1} d_j = 0, so the kept differentials are d_{lo+1}..d_j for
+        some j and a failed check raises again on the next read.
+        """
+        if not self.lo < i <= self.hi:
             return None
-        if i > self.hi:
-            raise TorError(f"strand at degree {self.n} is built through term {self.hi} "
-                           f"and has no differential d_{i}")
-        return self.diffs[i]
+        diffs = self.diffs
+        for j in range(self.lo + 1 + len(diffs), i + 1):
+            d = self.build(j)
+            below = diffs.get(j - 1)
+            if below is not None and not (below * d).is_zero():
+                raise TorError(f"d^2 != 0 at strand term {j} (sign-convention bug)")
+            diffs[j] = d
+        return diffs[i]
 
     def rank(self, i) -> int:
-        """Rank of d_i: zero outside lo+1..top, and otherwise settled by
+        """Rank of d_i: zero outside lo+1..hi, and otherwise settled by
         bounds or, where they differ, by elimination.
 
         The lower bound (:meth:`_low`) counts independent rows.  The upper
         bound is ``min(dim C_i - low(i+1), dim C_{i-1} - low(i-1))``: by
-        d^2 = 0 the image of d_{i+1} lies in the kernel of d_i, and the image
-        of d_i in the kernel of d_{i-1}.  Where the two meet the rank is
-        exact without elimination.
+        d^2 = 0, which :meth:`diff` checked for every built pair, the image
+        of d_{i+1} lies in the kernel of d_i, and the image of d_i in the
+        kernel of d_{i-1}.  Where the two meet the rank is exact without
+        elimination.
         """
-        if not self.checked:
-            raise TorError(f"rank read from the strand at degree {self.n} before its d^2 check")
         d = self.diff(i)
         if d is None:
             return 0
@@ -108,15 +110,16 @@ class StrandComplex:
         """A lower bound on rank d_i: the rank if it is settled, else the
         larger count of distinct first columns and of distinct last columns
         among the rows (rows whose first columns differ pairwise are
-        independent, and so are rows whose last columns do); 0 where no d_i
-        is built."""
+        independent, and so are rows whose last columns do); 0 where d_i is
+        not built yet."""
         r = self._ranks.get(i)
         if r is None:
             r = self._lows.get(i)
         if r is None:
-            if not self.lo < i <= self.hi:
+            d = self.diffs.get(i)
+            if d is None:
                 return 0
-            rows = [row for row in self.diffs[i].data if row]
+            rows = [row for row in d.data if row]
             r = self._lows[i] = max(len({row[0][0] for row in rows}),
                                     len({row[-1][0] for row in rows}))
         return r
@@ -130,75 +133,63 @@ def _koszul_term(pieces, n, field, i) -> SnRep:
     return induce_young(basic_rep("sign", i, field), piece)
 
 
-def koszul_strand(M: FIModule, n: int, hi: int | None = None,
-                  deep: bool = False) -> StrandComplex:
-    """Build and d^2-check terms 0..hi of the degree-n strand afresh, all of
-    it by default; :func:`cached_strand` reuses one.  A local block inserts a
-    letter at point q: the step into degree m = n - i + 1, then the cycle
-    ``(q ... m) = s_q (q+1 ... m)``, so each block is one generator times the
-    next, down from the step at q = m.
+def _koszul_diff(pieces, steps, n, field, i) -> Matrix:
+    """The differential from term i to term i-1 of the degree-n strand.
+
+    A local block inserts a letter at point q: the step into degree
+    m = n - i + 1, then the cycle ``(q ... m) = s_q (q+1 ... m)``, so each
+    block is one generator times the next, down from the step at q = m.
     """
+    dim_m = pieces[n - i].dim
+    dim_m1 = pieces[n - i + 1].dim
+    blocks = []
+    if dim_m and dim_m1:
+        # the local block depends only on the insertion point q, and its
+        # sign only on the parity of the letter's position j
+        local_at = [steps[n - i]]
+        for g in reversed(pieces[n - i + 1].gens):
+            local_at.insert(0, g * local_at[0])
+        signed = [local_at, [loc.scale(field.of(-1)) for loc in local_at]]
+        subs_i1 = combinations(range(1, n + 1), i - 1)
+        idx1 = {s: k for k, s in enumerate(subs_i1)}
+        # one block at (row block T - {t}, column block T) for each t in T;
+        # the column blocks come in order
+        for k, T in enumerate(combinations(range(1, n + 1), i)):
+            for j, t in enumerate(T):
+                # t's insertion point among the letters outside T - {t} is
+                # q = t - j, as j letters of T precede t
+                blocks.append((idx1[T[:j] + T[j + 1:]] * dim_m1, k * dim_m,
+                               signed[j % 2][t - j - 1]))
+    return Matrix.from_blocks(field, math.comb(n, i - 1) * dim_m1,
+                              math.comb(n, i) * dim_m, blocks)
+
+
+def koszul_strand(M: FIModule, n: int) -> StrandComplex:
+    """A new degree-n Koszul strand of M, with no differential built yet;
+    :func:`cached_strand` keeps one per module and degree."""
     if n > M.valid_through:
         raise TorError(f"strand at degree {n} needs valid window >= {n}")
-    hi = n if hi is None else min(hi, n)
     field = M.field
-    dims = {i: math.comb(n, i) * M.dim(n - i) for i in range(hi + 1)}
-    diffs = {}
-    for i in range(1, hi + 1):
-        dim_m = M.dim(n - i)
-        dim_m1 = M.dim(n - i + 1)
-        blocks = []
-        if dim_m and dim_m1:
-            # the local block depends only on the insertion point q, and
-            # its sign only on the parity of the letter's position j
-            local_at = [M.steps[n - i]]
-            for g in reversed(M.pieces[n - i + 1].gens):
-                local_at.insert(0, g * local_at[0])
-            signed = [local_at, [loc.scale(field.of(-1)) for loc in local_at]]
-            subs_i1 = combinations(range(1, n + 1), i - 1)
-            idx1 = {s: k for k, s in enumerate(subs_i1)}
-            # one block at (row block T - {t}, column block T) for each t in
-            # T; the column blocks come in order
-            for k, T in enumerate(combinations(range(1, n + 1), i)):
-                for j, t in enumerate(T):
-                    # t's insertion point among the letters outside T - {t}
-                    # is q = t - j, as j letters of T precede t
-                    blocks.append((idx1[T[:j] + T[j + 1:]] * dim_m1, k * dim_m,
-                                   signed[j % 2][t - j - 1]))
-        diffs[i] = Matrix.from_blocks(field, dims[i - 1], dims[i], blocks)
-    strand = StrandComplex(n, field, 0, hi, dims, diffs,
-                           partial(_koszul_term, M.pieces, n, field), top=n)
-    verify_strand(strand, deep=deep)
-    return strand
+    dims = {i: math.comb(n, i) * M.dim(n - i) for i in range(n + 1)}
+    return StrandComplex(n, field, 0, n, dims,
+                         partial(_koszul_diff, M.pieces, M.steps, n, field),
+                         partial(_koszul_term, M.pieces, n, field))
 
 
-def cached_strand(M: FIModule, n: int, hi: int | None = None) -> StrandComplex:
-    """The degree-n strand of M through term ``hi`` (all of it by default),
-    built and d^2-checked once per module.
-
-    ``M.strands`` keeps the widest strand built per degree: it serves every
-    request it reaches, and a wider request replaces it by a new build.
-    Only strands that passed :func:`verify_strand` are kept, so they die
-    with the module.
-    """
-    hi = n if hi is None else min(hi, n)
+def cached_strand(M: FIModule, n: int) -> StrandComplex:
+    """The degree-n strand of M, made once per module and kept in
+    ``M.strands``; every reader grows it by the differentials it reads, and
+    it dies with the module."""
     strand = M.strands.get(n)
-    if strand is None or strand.hi < hi:
-        strand = M.strands[n] = koszul_strand(M, n, hi)
+    if strand is None:
+        strand = M.strands[n] = koszul_strand(M, n)
     return strand
 
 
-def verify_strand(strand: StrandComplex, deep: bool = False):
-    """d^2 = 0 always; ``deep`` adds the equivariance check of every
-    differential (quadratic matrix work, exercised by the test suite).
-    Marks the strand ``checked`` once d^2 = 0 holds on every built term."""
-    strand.checked = False
-    for i in range(strand.lo + 2, strand.hi + 1):
-        if not (strand.diffs[i - 1] * strand.diffs[i]).is_zero():
-            raise TorError(f"d^2 != 0 at strand term {i} (sign-convention bug)")
-    strand.checked = True
-    if not deep:
-        return
+def verify_equivariance(strand: StrandComplex):
+    """Every differential commutes with each Coxeter generator of S_n
+    (quadratic matrix work, for the ``koszul-check`` task and the tests)."""
+    strand.diff(strand.hi)
     tgt = strand.term(strand.lo)
     for i in range(strand.lo + 1, strand.hi + 1):
         d = strand.diffs[i]
@@ -221,16 +212,15 @@ def _strand_homology_sq(strand: StrandComplex, i: int) -> SubquotientSpace:
 
 def strand_homology_dim(strand: StrandComplex, i: int) -> int:
     """dim C_i - rank d_i - rank d_{i+1}.  This counts cycles modulo
-    boundaries because boundaries lie in the cycles, which is d^2 = 0.
-    Raises on a truncated strand from its last built term on."""
-    if not strand.lo <= i <= strand.top:
+    boundaries because boundaries lie in the cycles, which is d^2 = 0."""
+    if not strand.lo <= i <= strand.hi:
         return 0
     return strand.term_dim(i) - strand.rank(i) - strand.rank(i + 1)
 
 
 def homology_rep(strand: StrandComplex, i: int) -> SnRep:
     """H_i of a strand, materialized as an honest S_n-representation."""
-    if not strand.lo <= i <= strand.top:
+    if not strand.lo <= i <= strand.hi:
         return zero_rep(strand.n, strand.field)
     sq = _strand_homology_sq(strand, i)
     gens = [sq.induced_map(g, sq) for g in strand.term(i).gens]
@@ -278,14 +268,13 @@ def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
     Row zero is cross-checked on every call against the generator-count
     oracle, which runs once per module; a mismatch is a hard internal
     failure.  By default the rows run up to the window minus the least
-    generator degree, over full strands that ``tor_rep``, hyper-Tor and nu
-    reuse; a caller's ``i_max`` asks only for the strand terms 0..i_max+1
-    that its rows read.
+    generator degree.  Rows 0..i_max read the differentials d_1..d_{i_max+1}
+    of each strand, and only those are built; they are built before any
+    rank is read, so that each rank has the bounds of both neighbours.
     """
     oracle = M.generators
     if oracle is None:
         oracle = M.generators = generation_degrees(M)
-    hi = None if i_max is None else i_max + 1
     if i_max is None:
         gen0 = next((n for n, d in enumerate(oracle) if d > 0), None)
         i_max = 0 if gen0 is None else max(M.valid_through - gen0, 0)
@@ -294,7 +283,8 @@ def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
     n_max = M.valid_through
     entries = {}
     for n in range(n_max + 1):
-        strand = cached_strand(M, n, hi)
+        strand = cached_strand(M, n)
+        strand.diff(min(i_max + 1, n))
         for i in range(0, min(i_max, n) + 1):
             d = strand_homology_dim(strand, i)
             if d:

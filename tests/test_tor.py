@@ -58,7 +58,7 @@ from fihomlab.tor import (
     strand_homology_dim,
     tor_rep,
     tor_table,
-    verify_strand,
+    verify_equivariance,
 )
 
 W = 5
@@ -67,21 +67,31 @@ W = 5
 def test_strand_differentials_are_equivariant_deep(field):
     M = fi_induced(basic_rep("sign", 2, field), 4)
     for n in range(5):
-        koszul_strand(M, n, deep=True)
+        verify_equivariance(koszul_strand(M, n))
     T = fi_torsion_concentrated(basic_rep("regular", 2, field), 2, 4)
     for n in range(5):
-        koszul_strand(T, n, deep=True)
+        verify_equivariance(koszul_strand(T, n))
+
+
+def perturbing(build, k, row, col, field):
+    """A strand builder that adds one to the entry (row, col) of d_k."""
+    def perturbed(i):
+        d = build(i)
+        if i == k:
+            set_entry(d, row, col, field.normalize(entry(d, row, col) + field.one))
+        return d
+    return perturbed
 
 
 def test_d2_guard_fires_on_a_perturbed_differential():
     field = GF(5)
     strand = koszul_strand(fi_constant(field, 4), 4)
-    d2, d3 = strand.diffs[2], strand.diffs[3]
+    d3 = strand.build(3)
     # an entry (0, k) of d2 whose column k meets a nonzero of row k of d3
     k = next(k for k in range(d3.rows) if d3.data[k])
-    set_entry(d2, 0, k, (entry(d2, 0, k) + 1) % field.q)
+    strand.build = perturbing(strand.build, 2, 0, k, field)
     with pytest.raises(TorError, match="d\\^2"):
-        verify_strand(strand)
+        strand.diff(3)
 
 
 def test_constant_module_strands_exact(field):
@@ -198,6 +208,7 @@ def test_cached_strands_keep_the_storage_contract(kind, field, seed):
         X = _random_module(kind, field, random.Random(seed))
     for n in range(X.valid_through + 1):
         strand = cached_total_strand(X, n) if kind == "complex" else cached_strand(X, n)
+        strand.diff(strand.hi)
         for d in strand.diffs.values():
             assert_entry_types(field, d)
 
@@ -207,51 +218,67 @@ def test_d2_guard_fires_on_a_perturbed_total_differential(field):
     C = FIComplex({0: A, 1: A}, {0: FIMorphism(
         A, A, [Matrix.identity(field, 1) for _ in range(A.window + 1)])})
     strand = total_strand(C, 3)
+    d = {k: strand.build(k) for k in range(strand.lo + 1, strand.hi + 1)}
     # an entry (0, j) of d_k whose column j meets a nonzero of row j of d_{k+1}
     k, j = next((k, j) for k in range(strand.lo + 1, strand.hi)
-                for j in range(strand.diffs[k + 1].rows)
-                if strand.diffs[k].rows and strand.diffs[k + 1].data[j])
-    d = strand.diffs[k]
-    set_entry(d, 0, j, field.normalize(entry(d, 0, j) + field.one))
+                for j in range(d[k + 1].rows) if d[k].rows and d[k + 1].data[j])
+    strand.build = perturbing(strand.build, k, 0, j, field)
     with pytest.raises(TorError, match="d\\^2"):
-        verify_strand(strand)
+        strand.diff(strand.hi)
 
 
 # -- one strand per (module, degree) ----------------------------------
 
 
 def test_verify_builds_each_strand_once(monkeypatch):
-    """No strand is built twice, truncated or full: the shift probes build
-    narrow strands of modules whose full strands nothing reads, and the
-    module's own full strands serve its b = 0 probe and its nu certificates."""
+    """Each (module, degree) strand is made once and each of its
+    differentials built once: the shift probes build the low terms of
+    modules whose other terms nothing reads, the module's own strands serve
+    its b = 0 probe and its nu certificates, and a local cohomology before
+    the verify leaves strands that the verify grows instead of rebuilding."""
     field = GF(5)
-    mix = direct_sum(
-        fi_induced(basic_rep("sign", 2, field), 6),
-        fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 6),
-    )
+
+    def mix():
+        return direct_sum(fi_induced(basic_rep("sign", 2, field), 6),
+                          fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 6))
+
     t2 = fi_torsion_concentrated(basic_rep("trivial", 2, field), 2, 7)
     treg = fi_torsion_concentrated(basic_rep("regular", 2, field), 2, 7)
     k = kernel(induced_morphism(basic_rep("trivial", 2, field), fi_constant(field, 7),
                                 Matrix.from_rows(field, [[1]])))
-    builds = Counter()
+    strands, diffs = Counter(), Counter()
     seen = []  # keeps every module alive, so that ids stay distinct
-    build = tor.koszul_strand
+    make = tor.koszul_strand
 
-    def counting(M, n, *args, **kwargs):
+    def counting(M, n):
         seen.append(M)
-        builds[(id(M), n)] += 1
-        return build(M, n, *args, **kwargs)
+        key = (id(M), n)
+        strands[key] += 1
+        strand = make(M, n)
+        build = strand.build
+
+        def counted(i):
+            diffs[key + (i,)] += 1
+            return build(i)
+
+        strand.build = counted
+        return strand
 
     monkeypatch.setattr(tor, "koszul_strand", counting)
-    verdicts = [verify_main_theorem(M).verdict for M in (mix, t2, treg, k)]
-    assert verdicts == ["PASS", "PASS", "PASS", "UNCERTIFIED"]
+    lcoh_first = mix()
+    assert local_cohomology(lcoh_first).complete
+    verified = (mix(), t2, treg, k, lcoh_first)
+    verdicts = [verify_main_theorem(M).verdict for M in verified]
+    assert verdicts == ["PASS", "PASS", "PASS", "UNCERTIFIED", "PASS"]
     assert any(c.status == "ok" for c in nu_certificate(t2, good_ideal(2, field)))
-    assert builds and max(builds.values()) == 1
-    for M in (mix, t2, treg, k):
+    assert max(strands.values()) == 1 and max(diffs.values()) == 1
+    for M in verified:
         assert sorted(M.strands) == list(range(M.valid_through + 1))
-        assert all(s.hi == s.top == n for n, s in M.strands.items())
-    # the shift probes built truncated strands only
-    assert any(s.hi < s.top for M in seen for s in M.strands.values())
+        # every differential out of a nonzero term is built
+        assert all(i in s.diffs for n, s in M.strands.items()
+                   for i in range(1, n + 1) if s.term_dim(i))
+    # the shift probes built the low terms only
+    assert any(len(s.diffs) < n for M in seen for n, s in M.strands.items())
 
 
 def test_verify_runs_the_generator_oracle_once_per_module(monkeypatch):
@@ -330,17 +357,23 @@ def test_total_strands_are_built_once_per_complex_and_degree(monkeypatch):
 
 
 def test_only_verified_strands_are_cached(monkeypatch):
-    A = fi_constant(GF(5), 4)
+    field = GF(5)
+    A = fi_constant(field, 4)
+    build = tor._koszul_diff
 
-    def failing(strand, deep=False):
-        raise TorError("d^2 != 0 (injected)")
+    def failing(pieces, steps, n, fld, i):
+        d = build(pieces, steps, n, fld, i)
+        if (n, i) == (3, 2):
+            set_entry(d, 0, 0, field.normalize(entry(d, 0, 0) + field.one))
+        return d
 
-    monkeypatch.setattr(tor, "verify_strand", failing)
-    with pytest.raises(TorError):
-        cached_strand(A, 3)
-    assert A.strands == {}
-    monkeypatch.undo()
-    assert cached_strand(A, 3) is cached_strand(A, 3) is A.strands[3]
+    monkeypatch.setattr(tor, "_koszul_diff", failing)
+    for _ in range(2):
+        with pytest.raises(TorError, match="d\\^2"):
+            cached_strand(A, 3).rank(2)
+        assert list(A.strands[3].diffs) == [1]
+    assert cached_strand(A, 2) is cached_strand(A, 2) is A.strands[2]
+    assert [cached_strand(A, 2).rank(i) for i in (1, 2)] == [1, 1]
 
 
 def _tabulate_a_fresh_module():
@@ -423,7 +456,9 @@ def koszul_diffs_by_words(M, n):
 def test_koszul_strand_matches_the_word_oracle(field, kind, seed, b):
     M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
     for n in range(M.valid_through + 1):
-        assert koszul_strand(M, n).diffs == koszul_diffs_by_words(M, n)
+        strand = koszul_strand(M, n)
+        strand.diff(n)
+        assert strand.diffs == koszul_diffs_by_words(M, n)
 
 
 def test_construction_never_multiplies_out_a_permutation_word(monkeypatch):
@@ -448,8 +483,9 @@ def test_construction_never_multiplies_out_a_permutation_word(monkeypatch):
 @given(kind=st.sampled_from(ORACLE_KINDS + ("complex",)), seed=st.integers(0, 2**32 - 1),
        b=st.integers(0, 2), data=st.data())
 def test_rank_bounds_match_elimination(field, kind, seed, b, data):
-    """Every rank a built strand reports, whether its bounds settled it or
-    elimination did, in any order of reading, full or truncated."""
+    """Every rank a strand reports, whether its bounds settled it or
+    elimination did, in any order of reading, from a strand built through
+    any term."""
     rng = random.Random(seed)
     if kind == "complex":
         f = random_induced_morphism(field, rng, 5)
@@ -457,11 +493,11 @@ def test_rank_bounds_match_elimination(field, kind, seed, b, data):
         strands = [total_strand(C, g) for g in range(C.valid_through + 1)]
     else:
         M = fi_shift(oracle_module(kind, field, rng), b)
-        strands = [koszul_strand(M, n, hi) for n in range(M.valid_through + 1)
-                   for hi in {n, min(n, data.draw(st.integers(0, 3)))}]
+        strands = [koszul_strand(M, n) for n in range(M.valid_through + 1)]
     for strand in strands:
+        strand.diff(data.draw(st.integers(strand.lo, strand.hi)))
         for i in data.draw(st.permutations(range(strand.lo + 1, strand.hi + 1))):
-            assert strand.rank(i) == linalg.rank(strand.diffs[i]), i
+            assert strand.rank(i) == linalg.rank(strand.diff(i)), i
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
@@ -469,62 +505,70 @@ def test_rank_bounds_match_elimination(field, kind, seed, b, data):
 @given(kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**32 - 1),
        b=st.integers(0, 2), i_max=st.integers(0, 3))
 def test_truncated_strands_and_tables_match_the_full_ones(field, kind, seed, b, i_max):
-    """A strand built through term hi has the full strand's differentials
-    d_1..d_hi, and ``tor_table(M, i_max)`` over truncated strands has the
-    rows 0..i_max of the full table, so the shift search reads the same
-    Tor_1 and Tor_2."""
+    """A strand read through term hi holds the full strand's differentials
+    d_1..d_hi and no other, and ``tor_table(M, i_max)`` builds d_1..d_{i_max+1}
+    only and has the rows 0..i_max of the full table, so the shift search
+    reads the same Tor_1 and Tor_2.  A full table then grows the same
+    strands."""
     full_M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
     cut_M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
     for n in range(full_M.valid_through + 1):
         full = koszul_strand(full_M, n)
+        full.diff(n)
         for hi in range(n + 1):
-            cut = koszul_strand(full_M, n, hi)
-            assert (cut.hi, cut.top) == (hi, n)
+            cut = koszul_strand(full_M, n)
+            cut.diff(hi)
             assert cut.diffs == {i: full.diffs[i] for i in range(1, hi + 1)}
     i_max = min(i_max, cut_M.valid_through)
     cut_table = tor_table(cut_M, i_max)
-    assert all(s.hi == min(n, i_max + 1) for n, s in cut_M.strands.items())
+    assert all(list(s.diffs) == list(range(1, min(n, i_max + 1) + 1))
+               for n, s in cut_M.strands.items())
     full_table = tor_table(full_M)
     assert cut_table.entries == {(i, n): d for (i, n), d in full_table.entries.items()
                                  if i <= i_max}
     assert loccoh.is_semi_induced(cut_M) == loccoh.is_semi_induced(full_M)
+    cut_strands = dict(cut_M.strands)
+    assert tor_table(cut_M).entries == full_table.entries
+    assert cut_M.strands == cut_strands
 
 
-def test_a_truncated_strand_refuses_its_top_homology(field):
-    M = recursion_inputs(field, 5)["Mix"]
-    full, cut = koszul_strand(M, 4), koszul_strand(M, 4, 2)
-    for i in (0, 1):
-        assert strand_homology_dim(cut, i) == strand_homology_dim(full, i)
-    assert homology_rep(cut, 1) == homology_rep(full, 1)
-    for read in (lambda: strand_homology_dim(cut, 2), lambda: homology_rep(cut, 2),
-                 lambda: strand_homology_dim(cut, 3), lambda: cut.rank(3),
-                 lambda: cut.rank(4)):
-        with pytest.raises(TorError, match="built through term 2"):
-            read()
-    # past the top of the complex every differential is zero
-    assert cut.rank(5) == strand_homology_dim(cut, 5) == 0
-
-
-def test_ranks_are_read_only_from_a_checked_strand(monkeypatch):
-    field = GF(5)
-    monkeypatch.setattr(tor, "verify_strand", lambda strand, deep=False: None)
-    unchecked = koszul_strand(fi_constant(field, 4), 3)
-    monkeypatch.undo()
-    with pytest.raises(TorError, match="before its d\\^2 check"):
-        unchecked.rank(1)
-    with pytest.raises(TorError, match="before its d\\^2 check"):
-        strand_homology_dim(unchecked, 0)
-    verify_strand(unchecked)
-    assert [unchecked.rank(i) for i in range(1, 4)] == [1, 2, 1]
-    # a strand whose check fails is unmarked again
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**32 - 1),
+       b=st.integers(0, 2), data=st.data())
+def test_reading_a_strand_builds_its_differentials_in_order(field, kind, seed, b, data):
+    """``rank``, ``strand_homology_dim`` and ``homology_rep`` read past the
+    built terms build the missing differentials in order, up to the last
+    one they read and no further, and agree with a fully built strand.  A
+    strand whose d^2 check fails keeps the differentials below the failure
+    and raises again on every read that needs it."""
+    M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
+    for n in range(M.valid_through + 1):
+        full = koszul_strand(M, n)
+        full.diff(n)
+        strand = koszul_strand(M, n)
+        built = data.draw(st.integers(0, n))
+        strand.diff(built)
+        for i in data.draw(st.permutations(range(n + 2))):
+            read = data.draw(st.sampled_from(["rank", "dim", "rep"]))
+            if read == "rank":
+                assert strand.rank(i) == full.rank(i)
+            elif read == "dim":
+                assert strand_homology_dim(strand, i) == strand_homology_dim(full, i)
+            else:
+                assert homology_rep(strand, i) == homology_rep(full, i)
+            if i <= n:
+                built = max(built, i if read == "rank" else min(i + 1, n))
+            assert strand.diffs == {j: full.diffs[j] for j in range(1, built + 1)}
     strand = koszul_strand(fi_constant(field, 4), 4)
-    d2, d3 = strand.diffs[2], strand.diffs[3]
-    k = next(k for k in range(d3.rows) if d3.data[k])
-    set_entry(d2, 0, k, (entry(d2, 0, k) + 1) % field.q)
-    with pytest.raises(TorError, match="d\\^2"):
-        verify_strand(strand)
-    with pytest.raises(TorError, match="before its d\\^2 check"):
-        strand.rank(2)
+    assert strand.rank(1) == 1
+    strand.build = perturbing(strand.build, 2, 0, 0, field)
+    for read in (lambda: strand.rank(2), lambda: strand.diff(4),
+                 lambda: strand_homology_dim(strand, 1), lambda: homology_rep(strand, 1)):
+        with pytest.raises(TorError, match="d\\^2"):
+            read()
+        assert list(strand.diffs) == [1]
+        assert strand_homology_dim(strand, 0) == 0
 
 
 def test_crossed_rank_bounds_raise():
@@ -533,24 +577,7 @@ def test_crossed_rank_bounds_raise():
     # gives a lower bound of 4 against the upper bound dim C_1 - rank d_1 = 3
     field = GF(5)
     strand = koszul_strand(fi_constant(field, 4), 4)
+    strand.diff(4)
     strand.diffs[2] = Matrix(field, 4, 6, [[(k, 1)] for k in range(4)])
     with pytest.raises(TorError, match="rank bounds 4 > 3"):
         strand.rank(2)
-
-
-def test_the_widest_strand_per_degree_is_kept(monkeypatch):
-    M = fi_constant(GF(5), 5)
-    builds = Counter()
-    build = tor.koszul_strand
-
-    def counting(X, n, hi=None, deep=False):
-        builds[(n, hi)] += 1
-        return build(X, n, hi, deep)
-
-    monkeypatch.setattr(tor, "koszul_strand", counting)
-    cut = cached_strand(M, 4, 2)
-    assert cached_strand(M, 4, 1) is cut and cached_strand(M, 4, 2) is cut
-    full = cached_strand(M, 4)
-    assert full is not cut and full.hi == 4 and M.strands[4] is full
-    assert cached_strand(M, 4, 3) is full and cached_strand(M, 4, 9) is full
-    assert builds == {(4, 2): 1, (4, 4): 1}
