@@ -40,7 +40,6 @@ from .fimod import (
     WindowExhausted,
     cokernel,
     direct_sum,
-    equivariant_hom_basis,
     fi_constant,
     fi_induced,
     fi_shift,

@@ -14,7 +14,7 @@ import math
 from functools import partial
 
 from .fimod import FIModule
-from .linalg import Matrix, block_diag, rank
+from .linalg import Matrix, block_diag, product_is_zero, rank
 from .reps import SnRep, direct_sum_reps, zero_rep
 from .tor import (
     StrandComplex,
@@ -76,7 +76,7 @@ class FIComplex:
             nxt = self.diffs.get(i + 1)
             if nxt is not None:
                 for n in range(self.window + 1):
-                    if not (nxt.maps[n] * self.diffs[i].maps[n]).is_zero():
+                    if not product_is_zero(nxt.maps[n], self.diffs[i].maps[n]):
                         raise ComplexError(f"d o d != 0 at index {i}, degree {n}")
 
     def min_support(self):

@@ -386,41 +386,6 @@ def induced_morphism(V: SnRep, target: FIModule, f0: Matrix) -> FIMorphism:
     return FIMorphism(source, target, maps)
 
 
-def equivariant_hom_basis(V: SnRep, W: SnRep) -> list[Matrix]:
-    """Basis of the space of S_d-equivariant maps V -> W (d = both degrees)."""
-    if V.n != W.n or V.field != W.field:
-        raise FIError("hom space needs matching degree and field")
-    field = V.field
-    dv, dw = V.dim, W.dim
-    if dv == 0 or dw == 0:
-        return []
-    rows = []
-    for i in range(max(V.n - 1, 0)):
-        gv_cols, gw = V.gens[i].columns(), W.gens[i]
-        # (gw F - F gv) entry (r, c), F flattened row-major
-        for r in range(dw):
-            for c in range(dv):
-                row = {}
-                for k, x in gw.data[r]:
-                    row[k * dv + c] = x
-                for k, x in gv_cols[c]:
-                    row[r * dv + k] = row.get(r * dv + k, 0) - x
-                rows.append(row)
-    if not rows:
-        basis = Matrix.identity(field, dw * dv).columns()
-    else:
-        basis = kernel_basis(Matrix.from_dicts(field, rows, dw * dv)).columns()
-    out = []
-    for vec in basis:
-        # unflatten: the index order of ``vec`` is the row-major order of F
-        F = Matrix.zeros(field, dw, dv)
-        for idx, x in vec:
-            r, c = divmod(idx, dv)
-            F.data[r].append((c, x))
-        out.append(F)
-    return out
-
-
 # -- torsion and generation -----------------------------------------
 
 

@@ -10,7 +10,9 @@ sparse vector, such as a column from :meth:`Matrix.columns` or an input of
 :meth:`Matrix.from_columns`, has the same form, indexed by row.
 
 Every operation visits nonzeros only: a product costs one multiply-add per
-pair of nonzeros that meet, and ``is_zero`` looks at no entry.  There is one
+pair of nonzeros that meet, and ``is_zero`` looks at no entry;
+:func:`product_is_zero` makes the multiply-adds of a product but stores no
+product, stopping at the first nonzero sum.  There is one
 elimination kernel, :func:`_forward`, working on dict rows: it reduces each
 row against the pivot rows found so far and keeps what remains as a new
 pivot row.  :func:`rank` is that forward pass alone; :func:`rref` adds the
@@ -216,6 +218,32 @@ class Matrix:
             raise LinAlgError("row mismatch in hstack")
         return Matrix.from_blocks(self.field, self.rows, self.cols + other.cols,
                                   [(0, 0, self), (0, self.cols, other)])
+
+
+def product_is_zero(a: Matrix, b: Matrix) -> bool:
+    """Whether ``a * b`` is zero, with the multiply-adds of ``a * b`` but no
+    product row sorted or stored: each row's sums go into a dict, and the
+    first sum that is nonzero in the field (mod q over F_q, exactly over Q)
+    ends the test.  A row with one nonzero picks one row of ``b``, so its
+    product is zero only if that row is empty."""
+    a._check(b)
+    if a.cols != b.rows:
+        raise LinAlgError("shape mismatch in mul")
+    q = a.field.q
+    brows = b.data
+    for ra in a.data:
+        if len(ra) == 1:
+            if brows[ra[0][0]]:
+                return False
+            continue
+        acc = {}
+        get = acc.get
+        for k, x in ra:
+            for j, y in brows[k]:
+                acc[j] = get(j, 0) + x * y
+        if any(map(q.__rmod__, acc.values())) if q else any(acc.values()):
+            return False
+    return True
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:

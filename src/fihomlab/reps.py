@@ -183,13 +183,15 @@ def induce_young(U: SnRep, W: SnRep) -> SnRep:
 def subrep_span(rep: SnRep, vectors: Matrix) -> Matrix:
     """Column basis of the smallest ``rep``-stable subspace holding the
     columns of ``vectors``: their span, grown by the generators until it
-    stops growing."""
-    span = column_space_basis(vectors)
-    while True:
-        stacked = span
-        for g in rep.gens:
-            stacked = stacked.hstack(g * span)
-        grown = column_space_basis(stacked)
-        if grown.cols == span.cols:
-            return span
-        span = grown
+    stops growing.  Each round moves only the columns the round before
+    added: the images of the rest lie in the span already, so the pivot
+    columns, and the basis, are those of a round that moves the whole span."""
+    span = frontier = column_space_basis(vectors)
+    while k := frontier.cols:
+        s = span.cols
+        blocks = [(0, 0, span)] + [(0, s + a * k, g * frontier)
+                                   for a, g in enumerate(rep.gens)]
+        span = column_space_basis(
+            Matrix.from_blocks(rep.field, span.rows, s + k * len(rep.gens), blocks))
+        frontier = Matrix.from_columns(rep.field, span.columns()[s:], nrows=span.rows)
+    return span

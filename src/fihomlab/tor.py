@@ -5,10 +5,13 @@ The strand at degree n has i-th term Ind over the Young subgroup of
 the i-subset of letters occupying the sign block, in lexicographic order.
 The differential moves one letter from the sign block into the module block
 through the step map, with the alternating sign of the letter's position.
+Its rows are written directly, one (i-1)-subset at a time, from the rows of
+one local block per insertion point.
 
 One strand is kept per (module, degree), and it builds each differential,
 d^2-checked, the first time a reader needs it: a shift probe reading
 Tor_0..Tor_2 builds the low terms alone, and a later full table grows them.
+The check makes the multiply-adds of d_{i-1} d_i but stores no product.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .linalg import (
     Matrix,
     SubquotientSpace,
     kernel_basis,
+    product_is_zero,
     rank,
 )
 from .reps import SnRep, basic_rep, induce_young, zero_rep
@@ -69,7 +73,9 @@ class StrandComplex:
 
         Builds every missing d_j, j <= i, in order, and keeps d_j only once
         d_{j-1} d_j = 0, so the kept differentials are d_{lo+1}..d_j for
-        some j and a failed check raises again on the next read.
+        some j and a failed check raises again on the next read.  The check
+        is :func:`~fihomlab.linalg.product_is_zero`: the multiply-adds of
+        the full product, with no product row sorted or stored.
         """
         if not self.lo < i <= self.hi:
             return None
@@ -77,7 +83,7 @@ class StrandComplex:
         for j in range(self.lo + 1 + len(diffs), i + 1):
             d = self.build(j)
             below = diffs.get(j - 1)
-            if below is not None and not (below * d).is_zero():
+            if below is not None and not product_is_zero(below, d):
                 raise TorError(f"d^2 != 0 at strand term {j} (sign-convention bug)")
             diffs[j] = d
         return diffs[i]
@@ -134,34 +140,42 @@ def _koszul_term(pieces, n, field, i) -> SnRep:
 
 
 def _koszul_diff(pieces, steps, n, field, i) -> Matrix:
-    """The differential from term i to term i-1 of the degree-n strand.
+    """The differential from term i to term i-1 of the degree-n strand,
+    written row by row.
 
-    A local block inserts a letter at point q: the step into degree
-    m = n - i + 1, then the cycle ``(q ... m) = s_q (q+1 ... m)``, so each
-    block is one generator times the next, down from the step at q = m.
+    Row block T' (an (i-1)-subset, in lexicographic order) meets column
+    block T' + {t} for each letter t outside T'; as t increases, so does
+    that column block.  The block there is the local block at t's insertion
+    point q among the letters outside T', negated when an odd number j of
+    letters of T' lie below t (so q = t - j).  A local block is the step
+    into degree m = n - i + 1, then the cycle ``(q ... m) = s_q (q+1 ... m)``,
+    so each is one generator times the next, down from the step at q = m.
     """
     dim_m = pieces[n - i].dim
     dim_m1 = pieces[n - i + 1].dim
-    blocks = []
-    if dim_m and dim_m1:
-        # the local block depends only on the insertion point q, and its
-        # sign only on the parity of the letter's position j
-        local_at = [steps[n - i]]
-        for g in reversed(pieces[n - i + 1].gens):
-            local_at.insert(0, g * local_at[0])
-        signed = [local_at, [loc.scale(field.of(-1)) for loc in local_at]]
-        subs_i1 = combinations(range(1, n + 1), i - 1)
-        idx1 = {s: k for k, s in enumerate(subs_i1)}
-        # one block at (row block T - {t}, column block T) for each t in T;
-        # the column blocks come in order
-        for k, T in enumerate(combinations(range(1, n + 1), i)):
-            for j, t in enumerate(T):
-                # t's insertion point among the letters outside T - {t} is
-                # q = t - j, as j letters of T precede t
-                blocks.append((idx1[T[:j] + T[j + 1:]] * dim_m1, k * dim_m,
-                               signed[j % 2][t - j - 1]))
-    return Matrix.from_blocks(field, math.comb(n, i - 1) * dim_m1,
-                              math.comb(n, i) * dim_m, blocks)
+    shape = (math.comb(n, i - 1) * dim_m1, math.comb(n, i) * dim_m)
+    if not (dim_m and dim_m1):
+        return Matrix(field, *shape)
+    local_at = [steps[n - i]]
+    for g in reversed(pieces[n - i + 1].gens):
+        local_at.insert(0, g * local_at[0])
+    # the rows of each local block, by sign parity and insertion point
+    norm = field.normalize
+    signed = [[loc.data for loc in local_at],
+              [[[(c, norm(-x)) for c, x in row] for row in loc.data] for loc in local_at]]
+    letters = range(1, n + 1)
+    offset = {T: k * dim_m for k, T in enumerate(combinations(letters, i))}
+    data = []
+    for T1 in combinations(letters, i - 1):
+        parts, j = [], 0
+        for t in letters:
+            if j < i - 1 and T1[j] == t:
+                j += 1
+            else:
+                parts.append((offset[T1[:j] + (t,) + T1[j:]], signed[j % 2][t - j - 1]))
+        data += [[(c0 + c, x) for c0, blk in parts for c, x in blk[r]]
+                 for r in range(dim_m1)]
+    return Matrix(field, *shape, data)
 
 
 def koszul_strand(M: FIModule, n: int) -> StrandComplex:

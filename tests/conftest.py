@@ -8,9 +8,9 @@ import pytest
 
 from fihomlab.fields import GF, QQ
 from fihomlab.fimod import (
+    FIError,
     cokernel,
     direct_sum,
-    equivariant_hom_basis,
     fi_constant,
     fi_induced,
     fi_torsion_concentrated,
@@ -18,7 +18,7 @@ from fihomlab.fimod import (
     induced_morphism,
     kernel,
 )
-from fihomlab.linalg import Matrix, rank, solve
+from fihomlab.linalg import Matrix, column_space_basis, kernel_basis, rank, solve
 from fihomlab.reps import SnRep, basic_rep, direct_sum_reps, subrep_span
 
 
@@ -110,6 +110,21 @@ def random_rep(n, field, rng, max_summands=3):
     return SnRep(n, field, [inv * g * change for g in rep.gens], dim=rep.dim, check=False)
 
 
+def subrep_span_whole(rep, vectors):
+    """``reps.subrep_span`` as a loop that moves the whole span by every
+    generator in each round, until the span stops growing: the oracle for
+    the loop that moves only the columns each round added."""
+    span = column_space_basis(vectors)
+    while True:
+        stacked = span
+        for g in rep.gens:
+            stacked = stacked.hstack(g * span)
+        grown = column_space_basis(stacked)
+        if grown.cols == span.cols:
+            return span
+        span = grown
+
+
 def orbit_span_subrep(rep, rng):
     """Column basis of the subrepresentation generated by one random vector."""
     field = rep.field
@@ -117,6 +132,42 @@ def orbit_span_subrep(rep, rng):
         field, [[field.of(rng.randint(-2, 2))] for _ in range(rep.dim)], ncols=1
     )
     return subrep_span(rep, v)
+
+
+def equivariant_hom_basis(V, W):
+    """Basis of the space of S_d-equivariant maps V -> W (d = both degrees),
+    the seeds of random induced morphisms."""
+    if V.n != W.n or V.field != W.field:
+        raise FIError("hom space needs matching degree and field")
+    field = V.field
+    dv, dw = V.dim, W.dim
+    if dv == 0 or dw == 0:
+        return []
+    rows = []
+    for i in range(max(V.n - 1, 0)):
+        gv_cols, gw = V.gens[i].columns(), W.gens[i]
+        # (gw F - F gv) entry (r, c), F flattened row-major
+        for r in range(dw):
+            for c in range(dv):
+                row = {}
+                for k, x in gw.data[r]:
+                    row[k * dv + c] = x
+                for k, x in gv_cols[c]:
+                    row[r * dv + k] = row.get(r * dv + k, 0) - x
+                rows.append(row)
+    if not rows:
+        basis = Matrix.identity(field, dw * dv).columns()
+    else:
+        basis = kernel_basis(Matrix.from_dicts(field, rows, dw * dv)).columns()
+    out = []
+    for vec in basis:
+        # unflatten: the index order of ``vec`` is the row-major order of F
+        F = Matrix.zeros(field, dw, dv)
+        for idx, x in vec:
+            r, c = divmod(idx, dv)
+            F.data[r].append((c, x))
+        out.append(F)
+    return out
 
 
 def random_induced_morphism(field, rng, window=5):

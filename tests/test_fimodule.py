@@ -5,7 +5,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ORACLE_KINDS, oracle_module, random_induced_morphism, set_entry
+from conftest import (
+    ORACLE_KINDS,
+    equivariant_hom_basis,
+    oracle_module,
+    random_induced_morphism,
+    set_entry,
+    subrep_span_whole,
+)
 
 from fihomlab.fields import GF, QQ
 from fihomlab.fimod import (
@@ -14,7 +21,6 @@ from fihomlab.fimod import (
     WindowExhausted,
     cokernel,
     direct_sum,
-    equivariant_hom_basis,
     fi_constant,
     fi_induced,
     fi_shift,
@@ -286,3 +292,13 @@ def test_induced_morphism_matches_the_word_oracle(field, kind, seed, d, sign):
     for b in equivariant_hom_basis(V, target.pieces[d]):
         f0 = f0 + b.scale(field.of(rng.randint(-2, 2)))
     assert list(induced_morphism(V, target, f0).maps) == induced_maps_by_words(V, target, f0)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(ORACLE_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_generation_degrees_match_the_whole_span_loop(field, kind, seed):
+    M = oracle_module(kind, field, random.Random(seed))
+    assert generation_degrees(M) == [M.dim(0)] + [
+        M.dim(n) - subrep_span_whole(M.pieces[n], M.steps[n - 1]).cols
+        for n in range(1, M.valid_through + 1)]

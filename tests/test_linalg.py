@@ -18,6 +18,7 @@ from fihomlab.linalg import (
     in_span,
     kernel_basis,
     kronecker,
+    product_is_zero,
     rank,
     rref,
     solve,
@@ -222,10 +223,12 @@ def sparse_matrices(draw, field, rows=None, cols=None):
     r = draw(oracle_dims) if rows is None else rows
     c = draw(oracle_dims) if cols is None else cols
     density = draw(st.sampled_from([0, 1, 2, 5, 10]))   # in tenths
-    # denominators 2 and 3 give non-integral rationals over Q
+    # denominators 2 and 3 give non-integral rationals over Q; over F_2 and
+    # F_3 only the invertible ones are drawn
+    dens = [d for d in (1, 1, 2, 3) if not field.q or d % field.q]
     cells = draw(st.lists(st.tuples(st.integers(0, 9),
                                     st.builds(Fraction, st.integers(-4, 4),
-                                              st.sampled_from([1, 1, 2, 3]))),
+                                              st.sampled_from(dens))),
                           min_size=r * c, max_size=r * c))
     zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=2))
@@ -248,6 +251,47 @@ def test_mul_matches_dense_oracle(field, data):
     assert to_dense(prod) == expected
     assert prod == from_dense(field, expected, c)
     assert_entry_types(field, prod)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_product_is_zero_matches_the_product(field, data):
+    # b is a kernel basis of a (a zero product, whose sums cancel as
+    # Fractions over Q and only mod p over F_p), that basis with one entry
+    # changed, or any matrix; sparse a has empty rows and rows of one nonzero
+    r, k = data.draw(oracle_dims), data.draw(oracle_dims)
+    a = data.draw(sparse_matrices(field, r, k))
+    kind = data.draw(st.sampled_from(["kernel", "changed", "any"]))
+    if kind == "any":
+        b = data.draw(sparse_matrices(field, k, data.draw(oracle_dims)))
+    else:
+        b = kernel_basis(a)
+        if kind == "changed" and b.rows and b.cols:
+            i, j = data.draw(st.integers(0, b.rows - 1)), data.draw(st.integers(0, b.cols - 1))
+            set_entry(b, i, j, field.normalize(dict(b.data[i]).get(j, 0) + 1))
+    assert product_is_zero(a, b) == (a * b).is_zero()
+
+
+@pytest.mark.parametrize("field, a, b, zero", [
+    # a row of one nonzero picks one row of b, zero only if that row is empty
+    (GF(5), [[0, 3]], [[1], [0]], True),
+    (GF(5), [[0, 3]], [[0], [1]], False),
+    # empty rows, and an inner dimension of 0
+    (GF(5), [[0, 0], [0, 0]], [[1, 2], [3, 4]], True),
+    (GF(5), [[], []], [], True),
+    # sums that vanish only mod p: 2*3 + 4*1 = 10, and 1 + 1 over F_2
+    (GF(5), [[2, 4]], [[3], [1]], True),
+    (GF(2), [[1, 1]], [[1], [1]], True),
+    (QQ, [[2, 4]], [[3], [1]], False),
+    # Fractions that cancel: 1/2 * 2/3 - 1/3 = 0
+    (QQ, [[Fraction(1, 2), -1]], [[Fraction(2, 3)], [Fraction(1, 3)]], True),
+    (QQ, [[Fraction(1, 2), 1]], [[Fraction(2, 3)], [Fraction(1, 3)]], False),
+], ids=repr)
+def test_product_is_zero_cases(field, a, b, zero):
+    ma = Matrix.from_rows(field, a, ncols=len(b))
+    mb = Matrix.from_rows(field, b, ncols=2 if not b else None)
+    assert product_is_zero(ma, mb) is zero is (ma * mb).is_zero()
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)

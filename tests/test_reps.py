@@ -9,7 +9,7 @@ import conftest
 
 from fihomlab.fields import GF, QQ, FieldError
 from fihomlab.fimod import kernel
-from fihomlab.linalg import Matrix, kronecker
+from fihomlab.linalg import Matrix, in_span, kronecker
 from fihomlab.permutations import Permutation, all_permutations
 from fihomlab.reps import (
     RepError,
@@ -18,6 +18,7 @@ from fihomlab.reps import (
     direct_sum_reps,
     induce_young,
     restrict_rep,
+    subrep_span,
     zero_rep,
 )
 
@@ -203,3 +204,16 @@ def test_induce_young_matches_the_coset_oracle_on_kernel_pieces(field, seed, kb,
     other = basic_rep(kb, b, field)
     U, W = (other, pieces[a]) if swap else (pieces[a], other)
     assert_same_induction(U, W)
+
+
+@pytest.mark.parametrize("field", COSET_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), k=st.integers(0, 3))
+def test_subrep_span_matches_the_whole_span_loop(field, seed, n, k):
+    rng = random.Random(seed)
+    rep = conftest.random_rep(n, field, rng)
+    vectors = conftest.random_matrix(field, rep.dim, k, rng, lo=-2, hi=2)
+    span = subrep_span(rep, vectors)
+    # the same pivot columns, so the same basis and the same subspace
+    assert span == conftest.subrep_span_whole(rep, vectors)
+    assert all(in_span(span, g * span) for g in rep.gens)
