@@ -14,7 +14,6 @@ and certified by the annihilator invariant of top-degree Tor pieces.
 from ._version import __version__
 from .fields import GF, QQ, Field, FieldError, field_by_name
 from .linalg import Matrix, SubquotientSpace, kernel_basis, column_space_basis, rref
-from .permutations import Permutation, all_permutations, factor_adjacent
 from .reps import (
     SnRep,
     basic_rep,
@@ -29,7 +28,6 @@ from .good_ideal import (
     good_ideal,
     ideal_operators,
     nu,
-    nu_bruteforce,
     verify_good_ideal,
 )
 from .fimod import (

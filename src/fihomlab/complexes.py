@@ -16,13 +16,7 @@ from functools import partial
 from .fimod import FIModule
 from .linalg import Matrix, block_diag, product_is_zero, rank
 from .reps import SnRep, direct_sum_reps, zero_rep
-from .tor import (
-    StrandComplex,
-    TorTable,
-    cached_strand,
-    homology_rep,
-    strand_homology_dim,
-)
+from .tor import StrandComplex, TorTable, cached_strand, homology_rep, strand_table
 
 INF = math.inf
 
@@ -48,7 +42,7 @@ class FIComplex:
         self.valid_through = min(m.valid_through for m in self.terms.values())
         self.lo = min(self.terms)
         self.hi = max(self.terms)
-        # total strands by degree, filled by ``cached_total_strand``
+        # total strands by degree, filled by ``tor.cached_strand``
         self.strands = {}
         if check:
             self.verify()
@@ -154,32 +148,14 @@ def total_strand(C: FIComplex, g: int) -> StrandComplex:
                          partial(_total_term, strands, g, field))
 
 
-def cached_total_strand(C: FIComplex, g: int) -> StrandComplex:
-    """The total strand of C in degree g, made once per complex and kept in
-    ``C.strands``."""
-    strand = C.strands.get(g)
-    if strand is None:
-        strand = C.strands[g] = total_strand(C, g)
-    return strand
-
-
 def hyper_tor(C: FIComplex, i_max: int) -> TorTable:
     """Dimension table of Tor_n(C) in each graded degree, n = 0..i_max.
 
     On one-term complexes at index 0 this reduces to the module Tor table.
     """
-    entries = {}
-    n_max = C.valid_through
-    for g in range(n_max + 1):
-        total = cached_total_strand(C, g)
-        total.diff(min(i_max + 1, total.hi))
-        for n in range(i_max + 1):
-            d = strand_homology_dim(total, n)
-            if d:
-                entries[(n, g)] = d
-    return TorTable(i_max, n_max, entries, kind="hyper")
+    return strand_table(C, i_max, total_strand, kind="hyper")
 
 
 def hyper_tor_rep(C: FIComplex, n: int, g: int) -> SnRep:
     """Tor_n(C) in graded degree g as an S_g-representation."""
-    return homology_rep(cached_total_strand(C, g), n)
+    return homology_rep(cached_strand(C, g, total_strand), n)

@@ -289,16 +289,6 @@ def fi_truncate(M: FIModule, c: int) -> FIModule:
                     valid_through=M.valid_through, torsion_hint=True)
 
 
-def truncation_morphism(M: FIModule, c: int) -> FIMorphism:
-    T = fi_truncate(M, c)
-    maps = [
-        Matrix.identity(M.field, M.dim(n)) if n <= c
-        else Matrix.zeros(M.field, 0, M.dim(n))
-        for n in range(M.window + 1)
-    ]
-    return FIMorphism(M, T, maps)
-
-
 # -- subquotients -----------------------------------------------------
 
 

@@ -25,7 +25,6 @@ from functools import cache
 
 from .fields import Field, FieldError
 from .linalg import Matrix
-from .permutations import all_permutations
 from .reps import SnRep, basic_rep, induce_young, subrep_span
 
 INF = math.inf
@@ -153,25 +152,4 @@ def nu(rep: SnRep, gi: GoodIdeal) -> NuValue:
         if op.is_zero():  # and so is every later operator, a multiple of it
             break
         r_star = r
-    return NuValue(n - r_star, n)
-
-
-def ideal_annihilates_bruteforce(gi: GoodIdeal, r: int, rep: SnRep) -> bool:
-    """Direct sweep over the two-sided ideal I_n(r), r <= n // p: checks
-    sigma * g^{boxtimes r} * rho for every pair of permutations.
-    Exponential; test oracle for n <= 4."""
-    core = list(ideal_operators(gi, rep))[r]
-    mats = [rep.perm_matrix(p) for p in all_permutations(rep.n)]
-    left = [m * core for m in mats]
-    return all((lm * m).is_zero() for lm in left for m in mats)
-
-
-def nu_bruteforce(rep: SnRep, gi: GoodIdeal) -> NuValue:
-    n = rep.n
-    if rep.is_zero():
-        return NuValue(INF, n)
-    r_star = 0
-    for r in range(1, n // gi.p + 1):
-        if not ideal_annihilates_bruteforce(gi, r, rep):
-            r_star = r
     return NuValue(n - r_star, n)

@@ -1,5 +1,5 @@
 """Exact linear algebra on sparse rows: products, rref, rank, kernels,
-solving, and subquotients.
+span membership, and subquotients.
 
 Storage.  A :class:`Matrix` keeps one list per row in ``data``.  Row i holds
 only its nonzero entries, as ``(col, val)`` pairs whose columns increase
@@ -17,7 +17,7 @@ elimination kernel, :func:`_forward`, working on dict rows: it reduces each
 row against the pivot rows found so far and keeps what remains as a new
 pivot row.  :func:`rank` is that forward pass alone; :func:`rref` adds the
 back-substitution.  The reduced row-echelon form is unique, so ``rref`` and
-every basis built from it (kernels, column spaces, solutions, subquotient
+every basis built from it (kernels, column spaces, subquotient
 representatives) are reproducible bit-for-bit whatever order the forward
 pass eliminates in.  Pivot rows are normalized to 1.
 
@@ -91,12 +91,6 @@ class Matrix:
         return cls(field, len(rows), ncols, data)
 
     @classmethod
-    def from_dicts(cls, field, rows, ncols):
-        """From rows given as ``{col: value}`` dicts of sums of entries."""
-        q = field.q
-        return cls(field, len(rows), ncols, [_freeze(q, d) for d in rows])
-
-    @classmethod
     def identity(cls, field, n):
         return cls(field, n, n, [[(i, 1)] for i in range(n)])
 
@@ -152,9 +146,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
-
-    def copy(self):
-        return Matrix(self.field, self.rows, self.cols, [list(row) for row in self.data])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -381,31 +372,6 @@ def column_space_basis(m: Matrix) -> Matrix:
                                nrows=m.rows)
 
 
-class NoSolution(LinAlgError):
-    pass
-
-
-def solve(basis: Matrix, targets: Matrix) -> Matrix:
-    """Solve ``basis @ X = targets`` columnwise.
-
-    Raises :class:`NoSolution` if some target column is outside the column
-    span of ``basis``.  Free coordinates (if ``basis`` has dependent columns)
-    are set to zero.
-    """
-    if basis.field != targets.field:
-        raise FieldError("mixed-field solve")
-    if basis.rows != targets.rows:
-        raise LinAlgError("shape mismatch in solve")
-    bc = basis.cols
-    _, pivots, red = rref(basis.hstack(targets))
-    if pivots and pivots[-1] >= bc:
-        raise NoSolution("target outside span")
-    x = Matrix.zeros(basis.field, bc, targets.cols)
-    for p, row in zip(pivots, red.data):
-        x.data[p] = [(j - bc, y) for j, y in row if j >= bc]
-    return x
-
-
 def in_span(basis: Matrix, targets: Matrix) -> bool:
     """Whether every column of ``targets`` lies in span(basis): no pivot of
     ``[basis | targets]`` lies past ``basis``."""
@@ -425,7 +391,7 @@ class SubquotientSpace:
     The frame ``F = [killed | reps]`` has full column rank k, so it is reduced
     once, when the space is built: ``[F | 1]`` reduces to ``[[1_k; 0] | E]``.
     v lies in span(F) exactly when the rows of ``E v`` past k are zero, and
-    then its first k rows are the unique coordinates :func:`solve` gives.
+    then its first k rows are the unique coordinates of v in the frame.
     """
 
     def __init__(self, field, ambient_dim, killed: Matrix, reps: Matrix):

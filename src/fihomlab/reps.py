@@ -5,18 +5,16 @@ An :class:`SnRep` stores only the matrices of the adjacent transpositions
 (involutions, braid, distant commutation), which certifies a well-defined
 S_n-action.  Modules, strands and morphisms move vectors by one generator
 product from a neighbouring permutation, and a good ideal's generator acts
-as a matrix expression in the generators of its block; only the brute-force
-ideal sweep and the test oracles multiply out a word of
-:func:`~fihomlab.permutations.factor_adjacent`, in :meth:`SnRep.perm_matrix`.
+as a matrix expression in the generators of its block, so no permutation
+word is ever multiplied out.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .fields import Field, FieldError
 from .linalg import Matrix, block_diag, column_space_basis, kronecker
-from .permutations import Permutation, all_permutations, factor_adjacent
 
 
 class RepError(ValueError):
@@ -54,14 +52,6 @@ class SnRep:
             for j in range(i + 2, len(g)):
                 if g[i] * g[j] != g[j] * g[i]:
                     raise RepError(f"distant generators s_{i + 1}, s_{j + 1} do not commute")
-
-    def perm_matrix(self, perm: Permutation) -> Matrix:
-        if perm.n != self.n:
-            raise RepError("degree mismatch")
-        out = Matrix.identity(self.field, self.dim)
-        for i in factor_adjacent(perm):
-            out = out * self.gens[i - 1]
-        return out
 
     def is_zero(self):
         return self.dim == 0
@@ -102,14 +92,16 @@ def basic_rep(kind: str, n: int, field: Field) -> SnRep:
             gens.append(Matrix(field, n, n, rows))
         return SnRep(n, field, gens, dim=n)
     if kind == "regular":
-        elems = all_permutations(n)
-        index = {p.images: k for k, p in enumerate(elems)}
+        # basis: S_n in lexicographic order of one-line notation; s_i sends
+        # the vector of p to that of s_i p, p with the values i, i+1 swapped
+        elems = list(permutations(range(1, n + 1)))
+        index = {p: k for k, p in enumerate(elems)}
         gens = []
         for i in range(1, n):
-            s = Permutation.adjacent(i, n)
+            swap = {i: i + 1, i + 1: i}
             rows = [None] * len(elems)
             for k, p in enumerate(elems):
-                rows[index[(s * p).images]] = [(k, 1)]
+                rows[index[tuple(swap.get(x, x) for x in p)]] = [(k, 1)]
             gens.append(Matrix(field, len(elems), len(elems), rows))
         return SnRep(n, field, gens, dim=len(elems))
     raise RepError(f"unknown basic rep kind {kind!r}")

@@ -127,11 +127,11 @@ class RunResult:
 
     def timing_text(self) -> str:
         lines = [
-            f"{r.task} {r.module or '-'}: {r.seconds:.3f}s"
+            f"{r.task} {r.module or '-'}: {r.seconds:.6f}s"
             + (" (cached)" if r.cached else "")
             for r in self.results
         ]
-        lines.append(f"total: {self.seconds:.3f}s")
+        lines.append(f"total: {self.seconds:.6f}s")
         return "\n".join(lines) + "\n"
 
 
@@ -219,7 +219,7 @@ def _job_ideal(job: JobSpec):
 def run_task(task: str, modname, built: dict, job: JobSpec) -> TaskResult:
     field = job.field
     M: FIModule | None = built[modname] if modname else None
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     try:
         if task == "koszul-check":
             A, window = fi_constant(field, job.window), job.window
@@ -268,7 +268,7 @@ def run_task(task: str, modname, built: dict, job: JobSpec) -> TaskResult:
             status = {"PASS": "ok", "FAIL": "fail", "UNCERTIFIED": "window"}[rep.verdict]
     except Exception as exc:
         status, data = failure_status(exc)
-    return TaskResult(task, modname, status, data, time.monotonic() - t0)
+    return TaskResult(task, modname, status, data, time.perf_counter() - t0)
 
 
 # -- caching -----------------------------------------------------------
@@ -352,7 +352,7 @@ def _write_cache_entry(cpath: Path, entry: dict):
 
 
 def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     cdir = cache_dir()
     paths = [cdir / f"{task_cache_key(job, task, modname)}.json"
              for task, modname in job.tasks]
@@ -370,7 +370,7 @@ def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
             built = build_objects(job)
         except Exception as exc:
             res = TaskResult("build", None, *failure_status(exc), 0.0)
-            return RunResult(job, [res], time.monotonic() - t0)
+            return RunResult(job, [res], time.perf_counter() - t0)
     results = []
     for (task, modname), cpath in zip(job.tasks, paths):
         cached = hits.get(cpath)
@@ -386,4 +386,4 @@ def run_job(job: JobSpec, use_cache: bool = True) -> RunResult:
     if (use_cache and built is not None
             and all(r.status in CACHED_STATUSES for r in results)):
         _write_cache_entry(build_record, {"status": "ok", "data": {}})
-    return RunResult(job, results, time.monotonic() - t0)
+    return RunResult(job, results, time.perf_counter() - t0)

@@ -190,13 +190,14 @@ def koszul_strand(M: FIModule, n: int) -> StrandComplex:
                          partial(_koszul_term, M.pieces, n, field))
 
 
-def cached_strand(M: FIModule, n: int) -> StrandComplex:
-    """The degree-n strand of M, made once per module and kept in
-    ``M.strands``; every reader grows it by the differentials it reads, and
-    it dies with the module."""
-    strand = M.strands.get(n)
+def cached_strand(X, n: int, make=None) -> StrandComplex:
+    """The degree-n strand of X, made by ``make(X, n)`` once per object and
+    degree and kept in ``X.strands``: by default the Koszul strand of a
+    module, and ``complexes.total_strand`` for a complex.  Every reader
+    grows it by the differentials it reads, and it dies with X."""
+    strand = X.strands.get(n)
     if strand is None:
-        strand = M.strands[n] = koszul_strand(M, n)
+        strand = X.strands[n] = (make or koszul_strand)(X, n)
     return strand
 
 
@@ -276,15 +277,32 @@ class TorTable:
         return range(self.i_max + 1)
 
 
+def strand_table(X, i_max: int, make, kind="module") -> TorTable:
+    """Homology dimensions of the strands of X (see :func:`cached_strand`),
+    in indices 0..i_max and degrees 0..``X.valid_through``.
+
+    Each strand builds d_1..d_{i_max+1}, and only those, before any rank is
+    read, so that each rank has the bounds of both neighbours.
+    """
+    n_max = X.valid_through
+    entries = {}
+    for n in range(n_max + 1):
+        strand = cached_strand(X, n, make)
+        strand.diff(min(i_max + 1, strand.hi))
+        for i in range(min(i_max, strand.hi) + 1):
+            d = strand_homology_dim(strand, i)
+            if d:
+                entries[(i, n)] = d
+    return TorTable(i_max, n_max, entries, kind)
+
+
 def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
     """Dimension table of Tor_i(M)_n over the certified window.
 
     Row zero is cross-checked on every call against the generator-count
     oracle, which runs once per module; a mismatch is a hard internal
     failure.  By default the rows run up to the window minus the least
-    generator degree.  Rows 0..i_max read the differentials d_1..d_{i_max+1}
-    of each strand, and only those are built; they are built before any
-    rank is read, so that each rank has the bounds of both neighbours.
+    generator degree.
     """
     oracle = M.generators
     if oracle is None:
@@ -294,22 +312,14 @@ def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
         i_max = 0 if gen0 is None else max(M.valid_through - gen0, 0)
     if i_max < 0:
         raise TorError("i_max must be nonnegative")
-    n_max = M.valid_through
-    entries = {}
-    for n in range(n_max + 1):
-        strand = cached_strand(M, n)
-        strand.diff(min(i_max + 1, n))
-        for i in range(0, min(i_max, n) + 1):
-            d = strand_homology_dim(strand, i)
-            if d:
-                entries[(i, n)] = d
-    for n in range(n_max + 1):
-        if entries.get((0, n), 0) != oracle[n]:
+    table = strand_table(M, i_max, koszul_strand)
+    for n in range(table.n_max + 1):
+        if table.dim(0, n) != oracle[n]:
             raise TorError(
                 f"Tor_0 row disagrees with the generator-count oracle at degree {n}: "
-                f"{entries.get((0, n), 0)} vs {oracle[n]}"
+                f"{table.dim(0, n)} vs {oracle[n]}"
             )
-    return TorTable(i_max, n_max, entries)
+    return table
 
 
 @dataclass

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import matrix_from_dicts, solve
+
 from fihomlab.fields import GF, QQ
 from fihomlab.fimod import (
     FIError,
@@ -18,7 +20,7 @@ from fihomlab.fimod import (
     induced_morphism,
     kernel,
 )
-from fihomlab.linalg import Matrix, column_space_basis, kernel_basis, rank, solve
+from fihomlab.linalg import Matrix, column_space_basis, kernel_basis, rank
 from fihomlab.reps import SnRep, basic_rep, direct_sum_reps, subrep_span
 
 
@@ -158,7 +160,7 @@ def equivariant_hom_basis(V, W):
     if not rows:
         basis = Matrix.identity(field, dw * dv).columns()
     else:
-        basis = kernel_basis(Matrix.from_dicts(field, rows, dw * dv)).columns()
+        basis = kernel_basis(matrix_from_dicts(field, rows, dw * dv)).columns()
     out = []
     for vec in basis:
         # unflatten: the index order of ``vec`` is the row-major order of F

@@ -11,6 +11,7 @@ import pytest
 
 import conftest
 from conftest import orbit_span_subrep, random_induced_morphism, random_rep
+from oracles import Permutation, nu_bruteforce, perm_matrix
 
 from fihomlab.complexes import FIComplex
 from fihomlab.fields import GF, QQ
@@ -28,13 +29,11 @@ from fihomlab.fimod import (
 from fihomlab.good_ideal import (
     good_ideal,
     nu,
-    nu_bruteforce,
     two_sided_ideal_dimension,
     verify_good_ideal,
 )
 from fihomlab.linalg import Matrix, SubquotientSpace
 from fihomlab.loccoh import nu_certificate, verify_main_theorem
-from fihomlab.permutations import Permutation
 from fihomlab.report import dumps_report
 from fihomlab.reps import SnRep, basic_rep, induce_young
 from fihomlab.tor import koszul_strand, strand_homology_dim, tor_rep, tor_table
@@ -75,7 +74,7 @@ def partitions(n):
 def character(rep):
     out = {}
     for lam in partitions(rep.n):
-        m = rep.perm_matrix(cycle_type_rep(lam, rep.n))
+        m = perm_matrix(rep, cycle_type_rep(lam, rep.n))
         out[lam] = conftest.trace(m)
     return out
 

@@ -1,5 +1,6 @@
 import importlib
 import json
+import re
 
 import pytest
 
@@ -39,6 +40,19 @@ def test_run_ok_and_reports(demo_job, tmp_path, capsys):
     assert report["field"] == "F5"
     assert [t["status"] for t in report["tasks"]] == ["ok", "ok", "ok"]
     assert (out / "report.txt").exists() and (out / "timing.txt").exists()
+
+
+def test_timing_lines_carry_six_decimals(demo_job, tmp_path):
+    """Task times keep microseconds, so a task of about 10 ms is not rounded
+    to whole milliseconds; cache hits and the total are written alike."""
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        assert main(["run", str(demo_job), "--out", str(out)]) == 0
+        lines = (out / "timing.txt").read_text().splitlines()
+        assert len(lines) == 4 and lines[-1].startswith("total: ")
+        for line in lines:
+            assert re.fullmatch(r"(\S+ \S+|total): \d+\.\d{6}s( \(cached\))?", line), line
+        assert all(line.endswith("(cached)") == (run == "warm") for line in lines[:-1])
 
 
 def test_reports_byte_identical_across_runs(demo_job, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_induced_morphism
+from oracles import truncation_morphism
 
 from fihomlab.complexes import (
     ComplexError,
@@ -20,7 +21,6 @@ from fihomlab.fimod import (
     fi_torsion_concentrated,
     fi_truncate,
     subquotient_module,
-    truncation_morphism,
 )
 from fihomlab.linalg import Matrix, kernel_basis
 from fihomlab.reps import basic_rep

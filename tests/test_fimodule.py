@@ -13,6 +13,7 @@ from conftest import (
     set_entry,
     subrep_span_whole,
 )
+from oracles import Permutation, matrix_copy, perm_matrix
 
 from fihomlab.fields import GF, QQ
 from fihomlab.fimod import (
@@ -37,7 +38,6 @@ from fihomlab.fimod import (
     zero_module,
 )
 from fihomlab.linalg import Matrix, kernel_basis
-from fihomlab.permutations import Permutation
 from fihomlab.reps import basic_rep
 
 W = 5
@@ -53,7 +53,7 @@ def test_induced_module_dims(field):
 def test_invariant_violation_is_caught(field):
     M = fi_induced(basic_rep("trivial", 1, field), 3)
     steps = list(M.steps)
-    bad = steps[1].copy()
+    bad = matrix_copy(steps[1])
     set_entry(bad, 1, 0, field.one)  # sends the generator into an asymmetric vector
     steps[1] = bad
     with pytest.raises(FIError):
@@ -236,8 +236,9 @@ ORACLE_FIELDS = [QQ, GF(2), GF(5)]
 
 def shift_steps_by_words(M, b):
     """The steps of ``fi_shift(M, b)``: M's step, then the cycle (n+1 ... n+b+1)."""
-    return [M.pieces[n + b + 1].perm_matrix(
-                Permutation.cycle(list(range(n + 1, n + b + 2)), n + b + 1)) * M.steps[n + b]
+    return [perm_matrix(M.pieces[n + b + 1],
+                        Permutation.cycle(list(range(n + 1, n + b + 2)), n + b + 1))
+            * M.steps[n + b]
             for n in range(M.window - b)]
 
 
@@ -254,7 +255,7 @@ def induced_maps_by_words(V, target, f0):
         cols = []
         for s in combinations(range(1, n + 1), d):
             coset = Permutation(list(s) + [x for x in range(1, n + 1) if x not in s])
-            cols.extend((target.pieces[n].perm_matrix(coset) * comp).columns())
+            cols.extend((perm_matrix(target.pieces[n], coset) * comp).columns())
         maps.append(Matrix.from_columns(field, cols, nrows=target.dim(n)))
     return maps
 

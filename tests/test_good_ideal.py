@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import orbit_span_subrep, random_rep
+from oracles import Permutation, nu_bruteforce, perm_matrix
 
 from fihomlab.fields import GF, QQ
 from fihomlab.good_ideal import (
@@ -15,12 +16,10 @@ from fihomlab.good_ideal import (
     good_ideal,
     ideal_operators,
     nu,
-    nu_bruteforce,
     two_sided_ideal_dimension,
     verify_good_ideal,
 )
 from fihomlab.linalg import Matrix, SubquotientSpace
-from fihomlab.permutations import Permutation
 from fihomlab.reps import SnRep, basic_rep
 
 # the package binds the name good_ideal to the function
@@ -156,7 +155,7 @@ def expanded_operator(p, r, rep):
         for j, (block, c) in enumerate(terms):
             images[j * p: j * p + p] = [j * p + x for x in block]
             coeff *= c
-        out = out + rep.perm_matrix(Permutation(images)).scale(f.of(coeff))
+        out = out + perm_matrix(rep, Permutation(images)).scale(f.of(coeff))
     return out
 
 

@@ -1,10 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from fihomlab.permutations import (
-    Permutation,
-    all_permutations,
-    factor_adjacent,
-)
+from oracles import Permutation, all_permutations, factor_adjacent
 
 perms = st.integers(2, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))

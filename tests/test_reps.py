@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
+from oracles import Permutation, all_permutations, perm_matrix, regular_rep_by_permutations
 
 from fihomlab.fields import GF, QQ, FieldError
 from fihomlab.fimod import kernel
 from fihomlab.linalg import Matrix, in_span, kronecker
-from fihomlab.permutations import Permutation, all_permutations
 from fihomlab.reps import (
     RepError,
     SnRep,
@@ -30,6 +30,15 @@ def test_basic_reps_satisfy_coxeter(field):
             rep.verify()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
+def test_regular_rep_basis_is_the_permutation_order(field):
+    """Job seeds such as ``morphism f induced r A 1,1;2`` are written in the
+    regular rep's basis, so it stays S_n in lexicographic order with s_i
+    acting by left multiplication, generator for generator."""
+    for n in range(5):
+        assert basic_rep("regular", n, field) == regular_rep_by_permutations(n, field)
+
+
 def test_coxeter_verification_catches_bad_generators():
     f = QQ
     good = basic_rep("natural", 3, f)
@@ -42,13 +51,13 @@ def test_perm_matrix_is_a_homomorphism(field):
     rep = basic_rep("regular", 3, field)
     for p in all_permutations(3):
         for q in all_permutations(3):
-            assert rep.perm_matrix(p * q) == rep.perm_matrix(p) * rep.perm_matrix(q)
+            assert perm_matrix(rep, p * q) == perm_matrix(rep, p) * perm_matrix(rep, q)
 
 
 def test_natural_rep_permutes_coordinates():
     rep = basic_rep("natural", 4, QQ)
     p = Permutation([3, 1, 4, 2])
-    m = rep.perm_matrix(p)
+    m = perm_matrix(rep, p)
     # basis vector e_x goes to e_{p(x)}
     cols = m.columns()
     for x in range(1, 5):
@@ -82,7 +91,7 @@ def test_induction_character_of_trivial_blocks():
     ind = induce_young(basic_rep("trivial", a, f), basic_rep("trivial", b, f))
     ind.verify()
     for p in all_permutations(a + b):
-        m = ind.perm_matrix(p)
+        m = perm_matrix(ind, p)
         trace = conftest.trace(m)
         fixed = sum(
             1 for s in combinations(range(1, a + b + 1), a)
@@ -97,8 +106,8 @@ def test_induced_sign_block_total_sign():
     f = QQ
     ind = induce_young(basic_rep("sign", 2, f), basic_rep("sign", 2, f))
     ind.verify()
-    s1 = ind.perm_matrix(Permutation.adjacent(1, 4))
-    s3 = ind.perm_matrix(Permutation.adjacent(3, 4))
+    s1 = perm_matrix(ind, Permutation.adjacent(1, 4))
+    s3 = perm_matrix(ind, Permutation.adjacent(3, 4))
     # identity coset is the lex-first subset (1,2): basis index 0
     assert conftest.entry(s1, 0, 0) == -1
     assert conftest.entry(s3, 0, 0) == -1
@@ -166,7 +175,7 @@ def coset_induce_young(U, W):
             pi = Permutation([h(x) for x in range(1, a + 1)])
             rho = Permutation([h(x) - a for x in range(a + 1, n + 1)])
             blocks.append((index[t] * inner, index[s] * inner,
-                           kronecker(U.perm_matrix(pi), W.perm_matrix(rho))))
+                           kronecker(perm_matrix(U, pi), perm_matrix(W, rho))))
         gens.append(Matrix.from_blocks(field, dim, dim, blocks))
     return SnRep(n, field, gens, dim=dim, check=False)
 
