@@ -27,7 +27,6 @@ from .linalg import (
     Matrix,
     SubquotientSpace,
     block_diag,
-    kernel_basis,
     rank,
 )
 from .reps import (
@@ -292,19 +291,18 @@ def fi_truncate(M: FIModule, c: int) -> FIModule:
 # -- subquotients -----------------------------------------------------
 
 
-def subquotient_module(ambient: FIModule, subs, killeds=None, torsion_hint=False,
+def subquotient_module(ambient: FIModule, spaces, torsion_hint=False,
                        valid_through=None) -> FIModule:
     """FIModule structure on degreewise subquotients of an ambient module.
 
-    The columns of ``subs[n]`` and ``killeds[n]`` span ambient subspaces;
-    both families must be preserved by the group action and compatible with
-    the steps (``SubquotientSpace.express`` raises otherwise).
+    ``spaces`` yields one :class:`SubquotientSpace` per degree, consumed
+    here.  Expressing each generator and step in them checks that the sub
+    spaces are preserved (``express`` raises otherwise).  That the killed
+    spaces are preserved is not checked: a cokernel kills the image of a
+    verified morphism, which commutes with the group action and the steps.
     """
     field = ambient.field
-    if killeds is None:
-        killeds = [None] * (ambient.window + 1)
-    sqs = [SubquotientSpace.from_sub_killed(subs[n], killeds[n])
-           for n in range(ambient.window + 1)]
+    sqs = list(spaces)
     pieces = []
     for n in range(ambient.window + 1):
         sq = sqs[n]
@@ -320,32 +318,35 @@ def subquotient_module(ambient: FIModule, subs, killeds=None, torsion_hint=False
 def kernel(f: FIMorphism) -> FIModule:
     """Degreewise kernel, as a submodule of the source."""
     src = f.source
-    subs = [kernel_basis(m) for m in f.maps]
-    return subquotient_module(src, subs, torsion_hint=src.torsion_hint,
+    return subquotient_module(src, map(SubquotientSpace.kernel, f.maps),
+                              torsion_hint=src.torsion_hint,
                               valid_through=min(src.valid_through, f.target.valid_through))
 
 
 def image(f: FIMorphism) -> FIModule:
     """Degreewise image, as a submodule of the target."""
     tgt = f.target
-    return subquotient_module(tgt, f.maps, torsion_hint=tgt.torsion_hint,
+    return subquotient_module(tgt, map(SubquotientSpace.from_sub_killed, f.maps),
+                              torsion_hint=tgt.torsion_hint,
                               valid_through=min(f.source.valid_through, tgt.valid_through))
 
 
 def cokernel(f: FIMorphism) -> FIModule:
     """Degreewise cokernel, as a quotient of the target."""
     tgt = f.target
-    full = [Matrix.identity(tgt.field, tgt.dim(n)) for n in range(tgt.window + 1)]
-    return subquotient_module(tgt, full, f.maps, torsion_hint=tgt.torsion_hint,
+    quotients = (SubquotientSpace.from_sub_killed(None, m) for m in f.maps)
+    return subquotient_module(tgt, quotients, torsion_hint=tgt.torsion_hint,
                               valid_through=min(f.source.valid_through, tgt.valid_through))
 
 
 # -- induced morphisms ------------------------------------------------
 
 
-def induced_morphism(V: SnRep, target: FIModule, f0: Matrix) -> FIMorphism:
+def induced_morphism(V: SnRep, target: FIModule, f0: Matrix,
+                     source: FIModule | None = None) -> FIMorphism:
     """The unique morphism I(V) -> target extending an equivariant map f0.
 
+    ``source`` is ``fi_induced(V, target.window)``, built here if not given.
     ``f0`` maps V into the target piece at degree d = V.n.  The block of a
     d-subset s is ``g_s`` times f0 pushed up by the steps, ``g_s`` sending
     1..d onto s in order.  Lowering a letter x of s to a free x - 1 gives an
@@ -358,7 +359,8 @@ def induced_morphism(V: SnRep, target: FIModule, f0: Matrix) -> FIMorphism:
     for i in range(1, d):
         if f0 * V.gens[i - 1] != target.pieces[d].gens[i - 1] * f0:
             raise InputError(f"f0 is not equivariant (fails at s_{i})")
-    source = fi_induced(V, target.window)
+    if source is None:
+        source = fi_induced(V, target.window)
     maps = []
     for n in range(target.window + 1):
         if n < d:

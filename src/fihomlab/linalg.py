@@ -350,18 +350,8 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a basis of the null space of ``m``: one per free column
-    c, with 1 at c and minus row i of the reduced form at pivot i."""
-    f = m.field
-    _, pivots, red = rref(m)
-    pivset = set(pivots)
-    free = {c: [] for c in range(m.cols) if c not in pivset}
-    for p, row in zip(pivots, red.data):
-        for c, x in row[1:]:
-            free[c].append((p, f.normalize(-x)))
-    # every pivot p with an entry at c lies left of c
-    cols = [entries + [(c, 1)] for c, entries in free.items()]
-    return Matrix.from_columns(f, cols, nrows=m.cols)
+    """Columns form a basis of the null space (:meth:`SubquotientSpace.kernel`)."""
+    return SubquotientSpace.kernel(m).reps
 
 
 def column_space_basis(m: Matrix) -> Matrix:
@@ -382,50 +372,88 @@ def in_span(basis: Matrix, targets: Matrix) -> bool:
 
 
 class SubquotientSpace:
-    """A subquotient span(sub)/span(killed) of an ambient column space.
+    """A subquotient span(sub)/span(killed) of an ambient column space F^r.
 
-    ``killed`` columns must lie in span(sub).  ``reps`` holds ambient
-    representative columns of a basis of the quotient; they are chosen
-    deterministically from the columns of ``sub``.
-
-    The frame ``F = [killed | reps]`` has full column rank k, so it is reduced
-    once, when the space is built: ``[F | 1]`` reduces to ``[[1_k; 0] | E]``.
-    v lies in span(F) exactly when the rows of ``E v`` past k are zero, and
-    then its first k rows are the unique coordinates of v in the frame.
+    ``killed`` is a basis of span(killed); ``reps`` holds representatives
+    of a basis of the quotient, chosen deterministically from the columns
+    of ``sub``.  The reducer R is an invertible E with ``E [killed | reps]
+    = [1; 0]`` less its first ``killed.cols`` rows; the constructor checks
+    that R sends ``[killed | reps]`` to ``[0 1; 0 0]`` (:class:`LinAlgError`
+    if not).  So v lies in span(sub) exactly when the rows of R v past
+    ``dim`` are zero, and then its first ``dim`` rows are its coordinates.
     """
 
-    def __init__(self, field, ambient_dim, killed: Matrix, reps: Matrix):
-        self.field = field
-        self.ambient_dim = ambient_dim
+    def __init__(self, killed: Matrix, reps: Matrix, reducer: Matrix):
+        self.field = reps.field
+        self.ambient_dim = reps.rows
         self.killed = killed
         self.reps = reps
-        self.dim = reps.cols
-        kc, k = killed.cols, killed.cols + reps.cols
-        eye = Matrix.identity(field, ambient_dim)
-        _, pivots, red = rref(killed.hstack(reps).hstack(eye))
-        if pivots[:k] != tuple(range(k)):
-            raise LinAlgError("subquotient frame columns are dependent")
-        # the rows of E past ``killed``: quotient coordinates, then membership
-        self._reducer = Matrix(field, ambient_dim - kc, ambient_dim,
-                               [[(j - k, x) for j, x in row if j >= k]
-                                for row in red.data[kc:]])
+        self.dim = d = reps.cols
+        frame = (reducer * killed.hstack(reps)).data
+        if frame[:d] != [[(killed.cols + i, 1)] for i in range(d)] or any(frame[d:]):
+            raise LinAlgError("the reducer does not invert the subquotient frame")
+        self._reducer = reducer
 
     @classmethod
-    def from_sub_killed(cls, sub: Matrix, killed: Matrix | None = None):
-        f = sub.field
+    def from_sub_killed(cls, sub: Matrix | None, killed: Matrix | None = None):
+        """span(sub)/span(killed), from one reduction of ``[killed | sub | 1]``;
+        ``sub=None`` is the whole space (a cokernel), reduced as ``[killed | 1]``.
+
+        ``[A | 1]`` reduces to ``[E A | E]`` with ``E P = 1``, P the matrix of
+        its pivot columns in order.  A column is a pivot exactly when it lies
+        outside the span of the columns left of it; a non-pivot column of A
+        lies in that span, so deleting it changes no other column's status.
+        So P and E are the same for the frame ``F = [killed basis | reps]``,
+        the pivot columns of ``A = [killed | sub]``, as for A, and
+        ``E F = [1; 0]``: the rows of E past the killed pivots are the
+        reducer.  ``[killed | 1]`` has the E of ``[killed | 1 | 1]``, whose
+        last block has no pivot.
+        """
+        given = killed if sub is None else sub
+        f, r = given.field, given.rows
         if killed is None:
-            killed = Matrix.zeros(f, sub.rows, 0)
-        if killed.cols and not in_span(sub, killed):
+            killed = Matrix.zeros(f, r, 0)
+        elif sub is not None and killed.cols and not in_span(sub, killed):
             raise InvariantViolation("killed space not inside sub space")
-        killed = column_space_basis(killed)
-        # extend the killed basis by columns of sub; the pivots past the
-        # killed block pick the quotient representatives
         kc = killed.cols
-        pivots = sorted(_forward(killed.hstack(sub)))
-        sub_cols = sub.columns()
-        reps = Matrix.from_columns(f, [sub_cols[p - kc] for p in pivots if p >= kc],
-                                   nrows=sub.rows)
-        return cls(f, sub.rows, killed, reps)
+        eye = Matrix.identity(f, r)
+        if sub is None:
+            sub, e0 = eye, kc   # e0: the first column of E
+            frame = killed.hstack(eye)
+        else:
+            e0 = kc + sub.cols
+            frame = Matrix.from_blocks(f, r, e0 + r,
+                                       [(0, 0, killed), (0, kc, sub), (0, e0, eye)])
+        _, pivots, red = rref(frame)
+        killed_cols, sub_cols = killed.columns(), sub.columns()
+        basis = [killed_cols[p] for p in pivots if p < kc]
+        reps = [sub_cols[p - kc] for p in pivots if kc <= p < kc + sub.cols]
+        reducer = [[(j - e0, x) for j, x in row if j >= e0]
+                   for row in red.data[len(basis):]]
+        return cls(Matrix.from_columns(f, basis, nrows=r),
+                   Matrix.from_columns(f, reps, nrows=r),
+                   Matrix(f, r - len(basis), r, reducer))
+
+    @classmethod
+    def kernel(cls, m: Matrix):
+        """The null space of ``m``, from one reduction of ``m``: one
+        representative per free column c, 1 at c and minus row i of the
+        reduced form at pivot i.  A null vector's coordinates are its free
+        entries, and v is a null vector exactly when the pivot rows send it
+        to 0."""
+        f = m.field
+        _, pivots, red = rref(m)
+        pivset = set(pivots)
+        free = {c: [] for c in range(m.cols) if c not in pivset}
+        for p, row in zip(pivots, red.data):
+            for c, x in row[1:]:
+                free[c].append((p, f.normalize(-x)))
+        # every pivot p with an entry at c lies left of c
+        reps = [entries + [(c, 1)] for c, entries in free.items()]
+        reducer = [[(c, 1)] for c in free] + red.data[:len(pivots)]
+        return cls(Matrix.zeros(f, m.cols, 0),
+                   Matrix.from_columns(f, reps, nrows=m.cols),
+                   Matrix(f, m.cols, m.cols, reducer))
 
     def express(self, vectors: Matrix) -> Matrix:
         """Quotient coordinates of ambient columns lying in span(sub)."""

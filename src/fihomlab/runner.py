@@ -139,54 +139,62 @@ def build_objects(job: JobSpec) -> dict:
     """Materialize every module and morphism of a job, in order.
 
     A rep is built when the first module or morphism names it, and never
-    when none does: a regular rep of degree d has dimension d!.
+    when none does: a regular rep of degree d has dimension d!.  Within
+    one call, names whose constructions expand alike (:func:`_closure_key`)
+    share one object, verified once and with one strand cache, as do the
+    ``induced`` modules and morphism sources I(V) of one V and window.
     """
     field, window = job.field, job.window
     built: dict = {}
+    shared: dict = {}
+
+    def share(key, make):
+        if key not in shared:
+            shared[key] = make()
+        return shared[key]
 
     def rep(name):
-        if name not in built:
-            kind, deg = job.reps[name]
-            built[name] = basic_rep(kind, deg, field)
-        return built[name]
+        kind, deg = job.reps[name]
+        return share(_closure_key(job, name), lambda: basic_rep(kind, deg, field))
+
+    def free(repname, w):
+        return share(("induced", _closure_key(job, repname), w),
+                     lambda: fi_induced(rep(repname), w))
+
+    def make(name):
+        if name in job.morphisms:
+            _, repname, target, entries = job.morphisms[name]
+            V = rep(repname)
+            f0 = Matrix.from_rows(field, entries, ncols=V.dim)
+            T = built[target]   # a shift has a smaller window
+            return induced_morphism(V, T, f0, source=free(repname, T.window))
+        spec = job.modules[name]
+        form = spec[0]
+        if form == "constant":
+            return fi_constant(field, window)
+        if form == "induced":
+            deg = job.reps[spec[1]][1]
+            if deg > window:
+                raise WindowExhausted(f"module {name!r}: generator degree {deg} "
+                                      f"exceeds window {window}")
+            return free(spec[1], window)
+        if form == "torsion":
+            if spec[2] > window:
+                raise WindowExhausted(f"module {name!r}: concentration degree {spec[2]} "
+                                      f"exceeds window {window}")
+            return fi_torsion_concentrated(rep(spec[1]), spec[2], window)
+        if form == "sum":
+            return direct_sum(built[spec[1]], built[spec[2]])
+        if form == "shift":
+            return fi_shift(built[spec[1]], spec[2])
+        if form == "truncate":
+            return fi_truncate(built[spec[1]], spec[2])
+        return {"kernel": kernel, "cokernel": cokernel,
+                "image": image}[form](built[spec[1]])
 
     for name in job.order:
         try:
-            if name in job.modules:
-                spec = job.modules[name]
-                form = spec[0]
-                if form == "constant":
-                    built[name] = fi_constant(field, window)
-                elif form == "induced":
-                    deg = job.reps[spec[1]][1]
-                    if deg > window:
-                        raise WindowExhausted(
-                            f"module {name!r}: generator degree {deg} "
-                            f"exceeds window {window}")
-                    built[name] = fi_induced(rep(spec[1]), window)
-                elif form == "torsion":
-                    if spec[2] > window:
-                        raise WindowExhausted(
-                            f"module {name!r}: concentration degree {spec[2]} "
-                            f"exceeds window {window}")
-                    built[name] = fi_torsion_concentrated(rep(spec[1]), spec[2], window)
-                elif form == "sum":
-                    built[name] = direct_sum(built[spec[1]], built[spec[2]])
-                elif form == "shift":
-                    built[name] = fi_shift(built[spec[1]], spec[2])
-                elif form == "truncate":
-                    built[name] = fi_truncate(built[spec[1]], spec[2])
-                elif form == "kernel":
-                    built[name] = kernel(built[spec[1]])
-                elif form == "cokernel":
-                    built[name] = cokernel(built[spec[1]])
-                elif form == "image":
-                    built[name] = image(built[spec[1]])
-            else:
-                _, repname, target, entries = job.morphisms[name]
-                V = rep(repname)
-                f0 = Matrix.from_rows(field, entries, ncols=V.dim)
-                built[name] = induced_morphism(V, built[target], f0)
+            built[name] = share(_closure_key(job, name), lambda: make(name))
         except InputError as exc:
             raise InputError(f"building {name!r}: {exc}") from exc
     return built
@@ -274,19 +282,19 @@ def run_task(task: str, modname, built: dict, job: JobSpec) -> TaskResult:
 # -- caching -----------------------------------------------------------
 
 
-def _closure_key(job: JobSpec, name) -> list:
+def _closure_key(job: JobSpec, name) -> tuple:
     """Construction of ``name`` with every referenced name expanded."""
     if name in job.reps:
-        return ["rep", *job.reps[name]]
+        return ("rep", *job.reps[name])
     if name in job.modules:
         spec = job.modules[name]
         out = [spec[0]]
         for arg in spec[1:]:
             out.append(_closure_key(job, arg) if isinstance(arg, str) else arg)
-        return out
+        return tuple(out)
     _, rep, target, entries = job.morphisms[name]
-    return ["morphism", _closure_key(job, rep), _closure_key(job, target),
-            [[str(x) for x in row] for row in entries]]
+    return ("morphism", _closure_key(job, rep), _closure_key(job, target),
+            tuple(tuple(str(x) for x in row) for row in entries))
 
 
 def _cache_key(job: JobSpec, task: str, construction) -> str:

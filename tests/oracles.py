@@ -5,8 +5,9 @@ multiplies out a permutation word, never sweeps a whole ideal, and never
 solves a linear system column by column.  The tests keep those slow,
 direct forms here as oracles: permutations in one-line notation and their
 adjacent-transposition words, the regular representation built from them,
-the brute-force ideal sweep behind ``nu``, a column solver, and a few
-constructors the package has no use for.
+the brute-force ideal sweep behind ``nu``, a column solver, a subquotient
+built by four separate passes, and a few constructors the package has no
+use for.
 """
 from __future__ import annotations
 
@@ -15,7 +16,16 @@ from itertools import permutations
 from fihomlab.fields import FieldError
 from fihomlab.fimod import FIModule, FIMorphism, fi_truncate
 from fihomlab.good_ideal import INF, GoodIdeal, NuValue, ideal_operators
-from fihomlab.linalg import LinAlgError, Matrix, _freeze, rref
+from fihomlab.linalg import (
+    InvariantViolation,
+    LinAlgError,
+    Matrix,
+    _forward,
+    _freeze,
+    column_space_basis,
+    in_span,
+    rref,
+)
 from fihomlab.reps import RepError, SnRep
 
 # -- permutations --------------------------------------------------------
@@ -200,3 +210,47 @@ def solve(basis: Matrix, targets: Matrix) -> Matrix:
     for p, row in zip(pivots, red.data):
         x.data[p] = [(j - bc, y) for j, y in row if j >= bc]
     return x
+
+
+class SubquotientOracle:
+    """span(sub)/span(killed) by four passes: a span test, a basis of the
+    killed columns, the pivots of ``[killed basis | sub]`` past that basis
+    as representatives, and a reduction of ``[killed basis | reps | 1]``
+    whose identity block is the reducer.  ``SubquotientSpace`` must give
+    the same ``killed``, ``reps`` and ``express`` from one reduction."""
+
+    def __init__(self, field, ambient_dim, killed: Matrix, reps: Matrix):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.killed = killed
+        self.reps = reps
+        self.dim = reps.cols
+        kc, k = killed.cols, killed.cols + reps.cols
+        eye = Matrix.identity(field, ambient_dim)
+        _, pivots, red = rref(killed.hstack(reps).hstack(eye))
+        if pivots[:k] != tuple(range(k)):
+            raise LinAlgError("subquotient frame columns are dependent")
+        self._reducer = Matrix(field, ambient_dim - kc, ambient_dim,
+                               [[(j - k, x) for j, x in row if j >= k]
+                                for row in red.data[kc:]])
+
+    @classmethod
+    def from_sub_killed(cls, sub: Matrix, killed: Matrix | None = None):
+        f = sub.field
+        if killed is None:
+            killed = Matrix.zeros(f, sub.rows, 0)
+        if killed.cols and not in_span(sub, killed):
+            raise InvariantViolation("killed space not inside sub space")
+        killed = column_space_basis(killed)
+        kc = killed.cols
+        pivots = sorted(_forward(killed.hstack(sub)))
+        sub_cols = sub.columns()
+        reps = Matrix.from_columns(f, [sub_cols[p - kc] for p in pivots if p >= kc],
+                                   nrows=sub.rows)
+        return cls(f, sub.rows, killed, reps)
+
+    def express(self, vectors: Matrix) -> Matrix:
+        reduced = self._reducer * vectors
+        if any(reduced.data[self.dim:]):
+            raise InvariantViolation("vector outside subquotient span")
+        return Matrix(self.field, self.dim, vectors.cols, reduced.data[:self.dim])

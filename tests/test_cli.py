@@ -562,3 +562,41 @@ def test_an_induced_module_past_the_window_never_builds_its_rep(tmp_path, monkey
                     "module T torsion v 2\ntask tor I\n")
     assert main(["run", str(path), "--no-cache"]) == 0
     assert built_reps == [("trivial", 2)]
+
+
+# -- one object per construction per build --------------------------------
+
+
+SHARED = """
+field F5
+window 5
+module A constant
+rep u trivial 1
+rep v trivial 1
+module I induced u
+module J induced v
+morphism f induced v A 1
+module K kernel f
+module S shift A 1
+morphism g induced v S 1
+task tor I
+task tor J
+"""
+
+
+def test_equal_constructions_share_one_object_per_build():
+    from fihomlab.jobspec import parse_spec
+    from fihomlab.runner import build_objects, run_task
+
+    job = parse_spec(SHARED)
+    built = build_objects(job)
+    assert built["I"] is built["J"] is built["f"].source
+    assert built["K"].dims() == [0, 0, 1, 2, 3, 4]
+    # a shift has a smaller window, so its morphism's I(v) is its own
+    assert built["g"].source.window == built["S"].window == 4
+    again = build_objects(job)
+    assert again["I"] is again["f"].source
+    assert again["I"] is not built["I"] and again["f"] is not built["f"]
+    tor_i, tor_j = (run_task("tor", name, built, job) for name in ("I", "J"))
+    assert tor_i.status == tor_j.status == "ok"
+    assert tor_i.data == tor_j.data

@@ -22,7 +22,7 @@ from fihomlab.fimod import (
     fi_truncate,
     subquotient_module,
 )
-from fihomlab.linalg import Matrix, kernel_basis
+from fihomlab.linalg import Matrix, SubquotientSpace, kernel_basis
 from fihomlab.reps import basic_rep
 from fihomlab.tor import tor_table
 
@@ -45,12 +45,11 @@ def complex_cohomology(C: FIComplex) -> dict:
     out = {}
     for i in sorted(C.terms):
         ambient = C.terms[i]
-        subs, killeds = [], []
-        for n in range(C.window + 1):
-            subs.append(kernel_basis(C.diff_matrix(i, n)))
-            killeds.append(C.diff_matrix(i - 1, n))
+        spaces = [SubquotientSpace.from_sub_killed(kernel_basis(C.diff_matrix(i, n)),
+                                                   C.diff_matrix(i - 1, n))
+                  for n in range(C.window + 1)]
         out[i] = subquotient_module(
-            ambient, subs, killeds,
+            ambient, spaces,
             torsion_hint=ambient.torsion_hint,
             valid_through=C.valid_through,
         )

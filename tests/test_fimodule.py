@@ -37,7 +37,7 @@ from fihomlab.fimod import (
     torsion_submodule,
     zero_module,
 )
-from fihomlab.linalg import Matrix, kernel_basis
+from fihomlab.linalg import Matrix, SubquotientSpace, kernel_basis
 from fihomlab.reps import basic_rep
 
 W = 5
@@ -186,7 +186,8 @@ def subquotient_torsion(M):
             certified_through = n
         elif not stable:
             contiguous = False
-    return subquotient_module(M, subs, torsion_hint=True), certified_through
+    return (subquotient_module(M, map(SubquotientSpace.from_sub_killed, subs),
+                               torsion_hint=True), certified_through)
 
 
 def assert_torsion_matches_oracle(M):

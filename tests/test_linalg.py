@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import assert_entry_types, from_dense, set_entry, to_dense
-from oracles import NoSolution, matrix_copy, matrix_from_dicts, solve
+from oracles import NoSolution, SubquotientOracle, matrix_copy, matrix_from_dicts, solve
 
 from fihomlab.fields import GF, QQ
 from fihomlab.linalg import (
@@ -163,10 +163,115 @@ def test_express_rejects_a_vector_outside_the_sub_span(field, data):
 
 
 def test_a_dependent_subquotient_frame_is_refused():
+    # no reducer sends the dependent frame [reps] to [1; 0]: here the one
+    # that reduces [reps | 1] does not, nor does the identity
     f = QQ
     reps = mat(f, [[1, 2], [0, 0]])
+    none = Matrix.zeros(f, 2, 0)
+    _, _, red = rref(reps.hstack(Matrix.identity(f, 2)))
+    for reducer in (Matrix(f, 2, 2, [[(j - 2, x) for j, x in row if j >= 2]
+                                     for row in red.data]),
+                    Matrix.identity(f, 2)):
+        with pytest.raises(LinAlgError):
+            SubquotientSpace(none, reps, reducer)
+    # a killed column the reducer does not send to 0
     with pytest.raises(LinAlgError):
-        SubquotientSpace(f, 2, Matrix.zeros(f, 2, 0), reps)
+        SubquotientSpace(mat(f, [[1], [0]]), mat(f, [[0], [1]]), Matrix.identity(f, 2))
+
+
+# -- one reduction per frame ---------------------------------------------
+#
+# ``SubquotientOracle`` builds the space by four passes; one reduction of
+# ``[killed | sub | 1]`` (or of ``m`` for a kernel) must give the same
+# killed basis, representatives and coordinates, bit for bit, and refuse
+# the same inputs.
+
+FRAME_FIELDS = [QQ, GF(2), GF(5)]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the LinAlgError it raised."""
+    try:
+        return fn(*args)
+    except LinAlgError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_space(new, old, vectors):
+    """Equal spaces, or equal refusals, and equal ``express`` outcomes."""
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert (new.killed, new.reps, new.dim) == (old.killed, old.reps, old.dim)
+    for m in (new.killed, new.reps):
+        assert_entry_types(new.field, m)
+    assert outcome(new.express, vectors) == outcome(old.express, vectors)
+
+
+@pytest.mark.parametrize("field", FRAME_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_reduction_frame_matches_the_oracle(field, data):
+    r, c, k, t = (data.draw(oracle_dims) for _ in range(4))
+    sub = data.draw(sparse_matrices(field, r, c))
+    # extra columns inside span(sub) make sub's columns dependent
+    sub = sub.hstack(sub * data.draw(sparse_matrices(field, c, data.draw(oracle_dims))))
+    kind = data.draw(st.sampled_from(["none", "inside", "twice", "any"]))
+    killed = {"none": None,
+              "inside": sub * data.draw(sparse_matrices(field, sub.cols, k)),
+              "twice": (sub * data.draw(sparse_matrices(field, sub.cols, k))).hstack(
+                  sub * data.draw(sparse_matrices(field, sub.cols, k))),
+              "any": data.draw(sparse_matrices(field, r, k))}[kind]
+    if kind == "twice":   # every column repeated
+        killed = killed.hstack(killed)
+    vectors = sub * data.draw(sparse_matrices(field, sub.cols, t))
+    if data.draw(st.booleans()):   # perhaps outside span(sub)
+        vectors = vectors.hstack(data.draw(sparse_matrices(field, r, 1)))
+    new = outcome(SubquotientSpace.from_sub_killed, sub, killed)
+    old = outcome(SubquotientOracle.from_sub_killed, sub, killed)
+    assert_same_space(new, old, vectors)
+    if not isinstance(old, tuple):
+        # the proof in ``from_sub_killed``: the same reducer, not just the
+        # same coordinates
+        assert new._reducer == old._reducer
+
+
+@pytest.mark.parametrize("field", FRAME_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_whole_space_is_the_identity_frame(field, data):
+    r, k, t = (data.draw(oracle_dims) for _ in range(3))
+    killed = data.draw(sparse_matrices(field, r, k))
+    if data.draw(st.booleans()):
+        killed = killed.hstack(killed)
+    vectors = data.draw(sparse_matrices(field, r, t))
+    eye = Matrix.identity(field, r)
+    whole = SubquotientSpace.from_sub_killed(None, killed)
+    for old in (SubquotientOracle.from_sub_killed(eye, killed),
+                SubquotientSpace.from_sub_killed(eye, killed)):
+        assert_same_space(whole, old, vectors)
+        assert whole._reducer == old._reducer
+
+
+@pytest.mark.parametrize("field", FRAME_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_kernel_space_matches_the_oracle(field, data):
+    r, c, t = (data.draw(oracle_dims) for _ in range(3))
+    m = data.draw(sparse_matrices(field, r, c))
+    space = SubquotientSpace.kernel(m)
+    assert (m * space.reps).is_zero()
+    assert space.dim == m.cols - rank(m)
+    vectors = space.reps * data.draw(sparse_matrices(field, space.dim, t))
+    assert_same_space(space, SubquotientOracle.from_sub_killed(kernel_basis(m)), vectors)
+    # a unit vector at a pivot column is outside the kernel, as m sends it
+    # to that nonzero column, and so is its sum with a kernel vector
+    _, pivots, _ = rref(m)
+    if pivots:
+        unit = Matrix.from_columns(field, [[(pivots[0], 1)]], nrows=c)
+        bad = unit + space.reps * data.draw(sparse_matrices(field, space.dim, 1))
+        with pytest.raises(InvariantViolation):
+            space.express(vectors.hstack(bad))
 
 
 # -- dense oracle -------------------------------------------------------
