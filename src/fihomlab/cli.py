@@ -119,8 +119,7 @@ def _load_job(args) -> JobSpec:
     return _apply_overrides(job, args)
 
 
-def _emit(result: RunResult, args, stream=None) -> int:
-    stream = stream or sys.stdout
+def _emit(result: RunResult, args) -> int:
     out = getattr(args, "out", None)
     text = result.report_text()
     if out:
@@ -131,9 +130,9 @@ def _emit(result: RunResult, args, stream=None) -> int:
         (outdir / "timing.txt").write_text(result.timing_text())
     for r in result.results:
         mod = f" {r.module}" if r.module else ""
-        print(f"task {r.task}{mod}: {r.status}", file=stream)
+        print(f"task {r.task}{mod}: {r.status}")
     if not out:
-        print(text, file=stream)
+        print(text)
     return result.exit_code
 
 

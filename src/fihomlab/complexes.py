@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .fimod import FIModule
+from .fimod import FIModule, zero_module
 from .linalg import Matrix, block_diag, product_is_zero, rank
 from .reps import SnRep, direct_sum_reps, zero_rep
 from .tor import StrandComplex, TorTable, cached_strand, homology_rep, strand_table
@@ -28,7 +28,7 @@ class ComplexError(ValueError):
 class FIComplex:
     """Finitely many FI-modules indexed cohomologically, with d o d = 0."""
 
-    def __init__(self, terms: dict, diffs: dict | None = None, check=True):
+    def __init__(self, terms: dict, diffs: dict | None = None):
         if not terms:
             raise ComplexError("empty complex")
         self.terms = dict(terms)
@@ -39,21 +39,13 @@ class FIComplex:
             raise ComplexError("terms must share one field and window")
         self.field = fields.pop()
         self.window = windows.pop()
-        self.valid_through = min(m.valid_through for m in self.terms.values())
-        self.lo = min(self.terms)
-        self.hi = max(self.terms)
         # total strands by degree, filled by ``tor.cached_strand``
         self.strands = {}
-        if check:
-            self.verify()
+        self.verify()
 
     def term(self, i) -> FIModule:
         m = self.terms.get(i)
-        if m is None:
-            from .fimod import zero_module
-
-            return zero_module(self.field, self.window)
-        return m
+        return zero_module(self.field, self.window) if m is None else m
 
     def diff_matrix(self, i, n) -> Matrix:
         """Matrix of the differential out of index i in degree n."""
@@ -87,11 +79,11 @@ class FIComplex:
 
 def cohomology_dims(C: FIComplex) -> dict:
     """dim H^i_n = dim C^i_n - rank d^i_n - rank d^{i-1}_n for every
-    supported index i and degree n <= ``C.valid_through``; exact because
+    supported index i and degree n <= ``C.window``; exact because
     ``verify`` checks im d^{i-1} inside ker d^i."""
     return {
         i: [C.terms[i].dim(n) - rank(C.diff_matrix(i, n)) - rank(C.diff_matrix(i - 1, n))
-            for n in range(C.valid_through + 1)]
+            for n in range(C.window + 1)]
         for i in sorted(C.terms)
     }
 
@@ -131,7 +123,7 @@ def total_strand(C: FIComplex, g: int) -> StrandComplex:
     """
     field = C.field
     strands = {m: cached_strand(C.terms[m], g) for m in sorted(C.terms)}
-    lo, hi = -C.hi, g - C.lo
+    lo, hi = -max(C.terms), g - min(C.terms)
     offsets, dims = {}, {}  # index k -> {(m, i): offset in term order}, total
     for k in range(lo, hi + 1):
         offsets[k], off = {}, 0

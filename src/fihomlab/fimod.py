@@ -8,9 +8,14 @@ groups, and the two-step composite is invariant under the transposition of
 the two freshly added letters.  Together these make the data a genuine
 FI-module restricted to the window.
 
-``valid_through`` tracks the degree up to which derived statements are
-certified; shifting consumes window, and every report downstream carries the
-resulting provenance.
+The window is a module's only degree bound, and every degree in it holds
+exact data, by induction over the constructors: ``fi_induced``,
+``fi_constant``, ``fi_torsion_concentrated`` and ``zero_module`` compute
+each degree; ``fi_shift`` by ``a`` returns a window ``a`` smaller, or raises
+:class:`WindowExhausted`; ``fi_truncate`` and ``fi_truncate_window`` keep or
+cut degrees; ``direct_sum``, ``kernel``, ``image``, ``cokernel`` and
+:class:`~fihomlab.complexes.FIComplex` combine modules of one window, which
+:class:`FIMorphism` requires of its endpoints.
 
 Kernels, images and cokernels are built, and verified, as subquotient
 modules; each constructor returns the module alone.  The torsion submodule
@@ -56,16 +61,14 @@ class InputError(FIError):
 
 
 class FIModule:
-    __slots__ = ("field", "window", "pieces", "steps", "valid_through", "torsion_hint",
-                 "strands", "generators")
+    __slots__ = ("field", "window", "pieces", "steps", "torsion_hint", "strands",
+                 "generators")
 
-    def __init__(self, field, window, pieces, steps, valid_through=None,
-                 torsion_hint=False, check=True):
+    def __init__(self, field, window, pieces, steps, torsion_hint=False, check=True):
         self.field = field
         self.window = window
         self.pieces = tuple(pieces)
         self.steps = tuple(steps)
-        self.valid_through = window if valid_through is None else valid_through
         self.torsion_hint = torsion_hint
         # verified Koszul strands by degree, filled by ``tor.cached_strand``,
         # and the generator counts of ``generation_degrees``, filled by
@@ -75,8 +78,6 @@ class FIModule:
         self.generators = None
         if len(self.pieces) != window + 1 or len(self.steps) != window:
             raise FIError("window/pieces/steps length mismatch")
-        if self.valid_through > window:
-            raise FIError("valid_through exceeds window")
         if check:
             self.verify()
 
@@ -113,13 +114,13 @@ class FIModule:
         return out
 
     def __repr__(self):
-        return f"FIModule(dims={self.dims()}, vt={self.valid_through})"
+        return f"FIModule(dims={self.dims()}, window={self.window})"
 
 
 class FIMorphism:
     __slots__ = ("source", "target", "maps")
 
-    def __init__(self, source: FIModule, target: FIModule, maps, check=True):
+    def __init__(self, source: FIModule, target: FIModule, maps):
         if source.field != target.field or source.window != target.window:
             raise FIError("morphism endpoints must share field and window")
         self.source = source
@@ -127,8 +128,7 @@ class FIMorphism:
         self.maps = tuple(maps)
         if len(self.maps) != source.window + 1:
             raise FIError("one matrix per degree required")
-        if check:
-            self.verify()
+        self.verify()
 
     def verify(self):
         for n in range(self.source.window + 1):
@@ -223,11 +223,8 @@ def direct_sum(M: FIModule, N: FIModule) -> FIModule:
     steps = [
         block_diag(M.field, [M.steps[n], N.steps[n]]) for n in range(M.window)
     ]
-    return FIModule(
-        M.field, M.window, pieces, steps,
-        valid_through=min(M.valid_through, N.valid_through),
-        torsion_hint=M.torsion_hint and N.torsion_hint,
-    )
+    return FIModule(M.field, M.window, pieces, steps,
+                    torsion_hint=M.torsion_hint and N.torsion_hint)
 
 
 def fi_shift(M: FIModule, a: int) -> FIModule:
@@ -235,8 +232,8 @@ def fi_shift(M: FIModule, a: int) -> FIModule:
     Its step at degree n is M's, then ``(n+1 ... n+a+1) = s_{n+1} ... s_{n+a}``."""
     if a < 0:
         raise InputError("negative shift")
-    if a > M.valid_through:
-        raise WindowExhausted(f"shift by {a} exceeds valid window {M.valid_through}")
+    if a > M.window:
+        raise WindowExhausted(f"shift by {a} exceeds window {M.window}")
     if a == 0:
         return M
     window = M.window - a
@@ -247,10 +244,7 @@ def fi_shift(M: FIModule, a: int) -> FIModule:
         for k in range(n + a, n, -1):
             step = gens[k - 1] * step
         steps.append(step)
-    return FIModule(
-        M.field, window, pieces, steps,
-        valid_through=M.valid_through - a, torsion_hint=M.torsion_hint,
-    )
+    return FIModule(M.field, window, pieces, steps, torsion_hint=M.torsion_hint)
 
 
 def natural_shift_map(M: FIModule, S: FIModule) -> FIMorphism:
@@ -267,11 +261,8 @@ def fi_truncate_window(M: FIModule, window: int) -> FIModule:
         return M
     if window > M.window:
         raise FIError("cannot extend a window")
-    return FIModule(
-        M.field, window, M.pieces[: window + 1], M.steps[:window],
-        valid_through=min(M.valid_through, window), torsion_hint=M.torsion_hint,
-        check=False,
-    )
+    return FIModule(M.field, window, M.pieces[: window + 1], M.steps[:window],
+                    torsion_hint=M.torsion_hint, check=False)
 
 
 def fi_truncate(M: FIModule, c: int) -> FIModule:
@@ -284,15 +275,13 @@ def fi_truncate(M: FIModule, c: int) -> FIModule:
         M.steps[n] if n + 1 <= c else Matrix.zeros(field, pieces[n + 1].dim, pieces[n].dim)
         for n in range(M.window)
     ]
-    return FIModule(field, M.window, pieces, steps,
-                    valid_through=M.valid_through, torsion_hint=True)
+    return FIModule(field, M.window, pieces, steps, torsion_hint=True)
 
 
 # -- subquotients -----------------------------------------------------
 
 
-def subquotient_module(ambient: FIModule, spaces, torsion_hint=False,
-                       valid_through=None) -> FIModule:
+def subquotient_module(ambient: FIModule, spaces) -> FIModule:
     """FIModule structure on degreewise subquotients of an ambient module.
 
     ``spaces`` yields one :class:`SubquotientSpace` per degree, consumed
@@ -300,6 +289,7 @@ def subquotient_module(ambient: FIModule, spaces, torsion_hint=False,
     spaces are preserved (``express`` raises otherwise).  That the killed
     spaces are preserved is not checked: a cokernel kills the image of a
     verified morphism, which commutes with the group action and the steps.
+    Subquotients of torsion are torsion: ``torsion_hint`` is the ambient's.
     """
     field = ambient.field
     sqs = list(spaces)
@@ -310,33 +300,23 @@ def subquotient_module(ambient: FIModule, spaces, torsion_hint=False,
         pieces.append(SnRep(n, field, gens, dim=sq.dim))
     steps = [sqs[n].induced_map(ambient.steps[n], sqs[n + 1])
              for n in range(ambient.window)]
-    return FIModule(field, ambient.window, pieces, steps,
-                    valid_through=ambient.valid_through if valid_through is None else valid_through,
-                    torsion_hint=torsion_hint)
+    return FIModule(field, ambient.window, pieces, steps, torsion_hint=ambient.torsion_hint)
 
 
 def kernel(f: FIMorphism) -> FIModule:
     """Degreewise kernel, as a submodule of the source."""
-    src = f.source
-    return subquotient_module(src, map(SubquotientSpace.kernel, f.maps),
-                              torsion_hint=src.torsion_hint,
-                              valid_through=min(src.valid_through, f.target.valid_through))
+    return subquotient_module(f.source, map(SubquotientSpace.kernel, f.maps))
 
 
 def image(f: FIMorphism) -> FIModule:
     """Degreewise image, as a submodule of the target."""
-    tgt = f.target
-    return subquotient_module(tgt, map(SubquotientSpace.from_sub_killed, f.maps),
-                              torsion_hint=tgt.torsion_hint,
-                              valid_through=min(f.source.valid_through, tgt.valid_through))
+    return subquotient_module(f.target, map(SubquotientSpace.from_sub_killed, f.maps))
 
 
 def cokernel(f: FIMorphism) -> FIModule:
     """Degreewise cokernel, as a quotient of the target."""
-    tgt = f.target
     quotients = (SubquotientSpace.from_sub_killed(None, m) for m in f.maps)
-    return subquotient_module(tgt, quotients, torsion_hint=tgt.torsion_hint,
-                              valid_through=min(f.source.valid_through, tgt.valid_through))
+    return subquotient_module(f.target, quotients)
 
 
 # -- induced morphisms ------------------------------------------------
@@ -385,7 +365,10 @@ def induced_morphism(V: SnRep, target: FIModule, f0: Matrix,
 class TorsionPart:
     dims: list                # dimension of the torsion submodule per degree
     certified_through: int
-    maxdeg: float             # last nonzero degree through valid_through, or -inf
+
+    @property
+    def maxdeg(self) -> float:  # the last nonzero degree, or -inf
+        return last_nonzero(self.dims)
 
 
 def torsion_submodule(M: FIModule) -> TorsionPart:
@@ -397,18 +380,13 @@ def torsion_submodule(M: FIModule) -> TorsionPart:
     has the same rank); finite windows cannot witness torsion beyond that.
     The torsion is zero at ``hi`` itself, so its maxdeg is certified.
     """
-    hi = M.valid_through
+    hi = M.window
     if M.torsion_hint:
-        dims = M.dims()
-        return TorsionPart(dims, hi, last_nonzero(dims[: hi + 1]))
+        return TorsionPart(M.dims(), hi)
     dims = []
     certified_through = -1
     contiguous = True
-    for n in range(M.window + 1):
-        if n > hi:
-            dims.append(0)
-            contiguous = False
-            continue
+    for n in range(hi + 1):
         if n < hi:
             shorter = M.composite_step(n, hi - 1)
             r = rank(M.steps[hi - 1] * shorter)
@@ -417,11 +395,10 @@ def torsion_submodule(M: FIModule) -> TorsionPart:
             r = M.dim(n)
             stable = M.dim(n) == 0
         dims.append(M.dim(n) - r)
-        if stable and contiguous:
+        contiguous = contiguous and stable
+        if contiguous:
             certified_through = n
-        elif not stable:
-            contiguous = False
-    return TorsionPart(dims, certified_through, last_nonzero(dims))
+    return TorsionPart(dims, certified_through)
 
 
 def last_nonzero(dims) -> float:
@@ -433,7 +410,7 @@ def generation_degrees(M: FIModule) -> list[int]:
     """Independent oracle for the zeroth Tor row: dimension of the quotient of
     each piece by the span of all group translates of the previous piece."""
     out = []
-    for n in range(M.valid_through + 1):
+    for n in range(M.window + 1):
         if n == 0:
             out.append(M.dim(0))
             continue

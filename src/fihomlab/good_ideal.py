@@ -58,7 +58,6 @@ class NuValue:
     """nu of a representation: an integer in 0..n, or +inf for the zero rep."""
 
     value: float
-    n: int
 
     def __eq__(self, other):
         if isinstance(other, NuValue):
@@ -144,12 +143,11 @@ def nu(rep: SnRep, gi: GoodIdeal) -> NuValue:
     """
     if rep.field != gi.field:
         raise FieldError("representation and good ideal over different fields")
-    n = rep.n
     if rep.is_zero():
-        return NuValue(INF, n)
+        return NuValue(INF)
     r_star = 0
     for r, op in enumerate(ideal_operators(gi, rep)):
         if op.is_zero():  # and so is every later operator, a multiple of it
             break
         r_star = r
-    return NuValue(n - r_star, n)
+    return NuValue(rep.n - r_star)

@@ -22,7 +22,8 @@ Grammar (one statement per line, ``#`` starts a comment)::
 Morphism entries give the equivariant seed matrix (target piece dim x rep
 dim), row-major, rows separated by ``;`` and columns by ``,``; rational
 entries may use ``p/q``.  Names must be defined before use, which keeps all
-definitions acyclic.
+definitions acyclic.  ``field``, ``window`` and ``policy nu-p`` may each
+appear once, and a line with more tokens than its form is an error.
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ MODULE_FORMS = {
 }
 TASKS_WITH_MODULE = ("tor", "reg", "lcoh", "nu", "verify")
 TASKS_BARE = ("koszul-check", "good-ideal-check")
+# the token count of each fixed-length statement, its keyword included
+STATEMENT_TOKENS = {"field": 2, "window": 2, "policy": 3, "rep": 4}
 
 
 class SpecParseError(ValueError):
@@ -86,6 +89,7 @@ def parse_spec(text: str) -> JobSpec:
     tasks: list = []
     policy: dict = {}
     order: list = []
+    seen: set = set()   # the field, window and policy nu-p lines read so far
 
     def known(name):
         return name in reps or name in modules or name in morphisms
@@ -96,6 +100,13 @@ def parse_spec(text: str) -> JobSpec:
             continue
         parts = line.split()
         head = parts[0]
+        key = " ".join(parts[:2]) if head == "policy" else head
+        if key in seen or len(parts) > STATEMENT_TOKENS.get(head, len(parts)):
+            errors.append((ln, f"repeated {key!r} statement" if key in seen
+                           else f"{head} takes {STATEMENT_TOKENS[head] - 1} argument(s)"))
+            continue
+        if key in ("field", "window", "policy nu-p"):
+            seen.add(key)
         try:
             if head == "field":
                 fieldv = field_by_name(parts[1])
@@ -192,6 +203,9 @@ def parse_spec(text: str) -> JobSpec:
                         continue
                     tasks.append((task, parts[2]))
                 elif task in TASKS_BARE:
+                    if len(parts) != 2:
+                        errors.append((ln, f"task {task} takes no module"))
+                        continue
                     tasks.append((task, None))
                 else:
                     errors.append((ln, f"unknown task {task!r}"))

@@ -385,7 +385,6 @@ class SubquotientSpace:
 
     def __init__(self, killed: Matrix, reps: Matrix, reducer: Matrix):
         self.field = reps.field
-        self.ambient_dim = reps.rows
         self.killed = killed
         self.reps = reps
         self.dim = d = reps.cols

@@ -41,9 +41,9 @@ def is_semi_induced(M: FIModule) -> str:
     certified degree."""
     if M.is_zero():
         return "yes"
-    if M.valid_through < 1:
+    if M.window < 1:
         return "uncertified"
-    table = tor_table(M, i_max=min(2, M.valid_through))
+    table = tor_table(M, i_max=min(2, M.window))
     if any(i >= 1 for (i, n) in table.entries):
         return "no"
     # generators at the top of the window could hide higher Tor just beyond
@@ -56,22 +56,25 @@ def is_semi_induced(M: FIModule) -> str:
 def min_acyclic_shift(M: FIModule) -> tuple[int, FIModule]:
     """``(b, S)``: the least b with ``S = fi_shift(M, b)`` testing semi-induced;
     each probe is the last one shifted by one."""
-    for b in range(M.valid_through + 1):
+    for b in range(M.window + 1):
         S = fi_shift(S, 1) if b else M
         if is_semi_induced(S) == "yes":
             return b, S
     raise WindowExhausted(
-        f"no semi-induced shift found up to b = {M.valid_through}; window insufficient"
+        f"no semi-induced shift found up to b = {M.window}; window insufficient"
     )
 
 
 @dataclass
 class LocCohTable:
     rows: dict                # i -> H^i, the fimod.TorsionPart of level i
-    depth: int                # first level at which the recursion terminated
     trace: list               # (shift b, cokernel dims) per level
     complete: bool            # False when the window ran out
     window: int
+
+    @property
+    def depth(self) -> int:  # first level at which the recursion terminated
+        return len(self.trace)
 
     def h(self, i):
         row = self.rows.get(i)
@@ -103,7 +106,6 @@ def local_cohomology(M: FIModule) -> LocCohTable:
     rows = {}
     trace = []
     cur = M
-    level = 0
     complete = True
     while True:
         try:
@@ -114,7 +116,7 @@ def local_cohomology(M: FIModule) -> LocCohTable:
             break
         tp = torsion_submodule(cur)
         if any(tp.dims):
-            rows[level] = tp
+            rows[len(trace)] = tp
         if S is None:  # the search exhausted the window
             complete = False
             break
@@ -124,12 +126,11 @@ def local_cohomology(M: FIModule) -> LocCohTable:
         t_dims = tp.dims[: len(k_dims)]
         if k_dims != t_dims:
             raise InvariantViolation(
-                f"recursion level {level}: ker(M -> shift) {k_dims} != torsion {t_dims}"
+                f"recursion level {len(trace)}: ker(M -> shift) {k_dims} != torsion {t_dims}"
             )
         cur = cokernel(nat)
         trace.append((b, cur.dims()))
-        level += 1
-    return LocCohTable(rows, level, trace, complete, M.window)
+    return LocCohTable(rows, trace, complete, M.window)
 
 
 @dataclass
@@ -203,7 +204,7 @@ def verify_main_theorem(M: FIModule, gi: GoodIdeal | None = None) -> TheoremRepo
         r = lcoh.min_row_attaining()
         rho = int(mh)
         for n in stable_checked:
-            if n + rho > M.valid_through:
+            if n + rho > M.window:
                 certs.append(NuCertificate(n, n + rho, n + r, None, "window"))
             else:
                 certs.append(_nu_cert(partial(tor_rep, M), n, rho, n + r, gi))
@@ -251,12 +252,12 @@ def nu_certificate(X, gi: GoodIdeal) -> list:
     if isinstance(X, FIModule):
         if not _is_torsion(X):
             raise InputError("nu_certificate on a module requires a torsion module")
-        top = last_nonzero(X.dims()[: X.valid_through + 1])
+        top = last_nonzero(X.dims())
         if top == -INF:
             return []
         rho = int(top)
         return [_nu_cert(partial(tor_rep, X), n, rho, n, gi)
-                for n in range(0, X.valid_through - rho + 1)]
+                for n in range(0, X.window - rho + 1)]
     # complex case
     C: FIComplex = X
     if not all(_is_torsion(t) for t in C.terms.values()):
@@ -266,10 +267,10 @@ def nu_certificate(X, gi: GoodIdeal) -> list:
         return []
     rho = max(i + v for i, v in finite.items())
     r = min(i for i, v in finite.items() if i + v == rho)
-    if rho > C.valid_through:  # no certificate fits in the window
+    if rho > C.window:  # no certificate fits in the window
         return []
     m = C.min_support()
-    i_cap = C.valid_through - rho
+    i_cap = C.window - rho
     table = hyper_tor(C, i_cap)
 
     def rep_of(n, deg):

@@ -104,11 +104,11 @@ def _fmt(v):
     return "?" if v is None else str(v)
 
 
-def render_tor_text(data: dict, title="tor") -> str:
+def render_tor_text(data: dict) -> str:
     i_max, n_max = data["i_max"], data["n_max"]
     cell = {(i, n): d for i, n, d in data["cells"]}
     j_max = n_max  # column j holds degree n = i + j
-    lines = [f"{title} (rows i, columns n-i; '.' = 0)"]
+    lines = ["tor (rows i, columns n-i; '.' = 0)"]
     header = "      " + "".join(f"{j:>5}" for j in range(j_max + 1))
     lines.append(header)
     for i in range(i_max + 1):

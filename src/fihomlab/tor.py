@@ -181,8 +181,8 @@ def _koszul_diff(pieces, steps, n, field, i) -> Matrix:
 def koszul_strand(M: FIModule, n: int) -> StrandComplex:
     """A new degree-n Koszul strand of M, with no differential built yet;
     :func:`cached_strand` keeps one per module and degree."""
-    if n > M.valid_through:
-        raise TorError(f"strand at degree {n} needs valid window >= {n}")
+    if n > M.window:
+        raise TorError(f"strand at degree {n} needs window >= {n}")
     field = M.field
     dims = {i: math.comb(n, i) * M.dim(n - i) for i in range(n + 1)}
     return StrandComplex(n, field, 0, n, dims,
@@ -279,12 +279,12 @@ class TorTable:
 
 def strand_table(X, i_max: int, make, kind="module") -> TorTable:
     """Homology dimensions of the strands of X (see :func:`cached_strand`),
-    in indices 0..i_max and degrees 0..``X.valid_through``.
+    in indices 0..i_max and degrees 0..``X.window``.
 
     Each strand builds d_1..d_{i_max+1}, and only those, before any rank is
     read, so that each rank has the bounds of both neighbours.
     """
-    n_max = X.valid_through
+    n_max = X.window
     entries = {}
     for n in range(n_max + 1):
         strand = cached_strand(X, n, make)
@@ -309,7 +309,7 @@ def tor_table(M: FIModule, i_max: int | None = None) -> TorTable:
         oracle = M.generators = generation_degrees(M)
     if i_max is None:
         gen0 = next((n for n, d in enumerate(oracle) if d > 0), None)
-        i_max = 0 if gen0 is None else max(M.valid_through - gen0, 0)
+        i_max = 0 if gen0 is None else max(M.window - gen0, 0)
     if i_max < 0:
         raise TorError("i_max must be nonnegative")
     table = strand_table(M, i_max, koszul_strand)

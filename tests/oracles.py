@@ -154,12 +154,12 @@ def ideal_annihilates_bruteforce(gi: GoodIdeal, r: int, rep: SnRep) -> bool:
 def nu_bruteforce(rep: SnRep, gi: GoodIdeal) -> NuValue:
     n = rep.n
     if rep.is_zero():
-        return NuValue(INF, n)
+        return NuValue(INF)
     r_star = 0
     for r in range(1, n // gi.p + 1):
         if not ideal_annihilates_bruteforce(gi, r, rep):
             r_star = r
-    return NuValue(n - r_star, n)
+    return NuValue(n - r_star)
 
 
 # -- modules and matrices ------------------------------------------------

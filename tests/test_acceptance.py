@@ -312,7 +312,7 @@ def test_criterion_09_tor0_oracle(theorem_suite):
         for name, M in modules.items():
             table = tor_table(M)
             gd = generation_degrees(M)
-            for n in range(M.valid_through + 1):
+            for n in range(M.window + 1):
                 assert table.dim(0, n) == gd[n], (name, n)
 
 

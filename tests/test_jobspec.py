@@ -97,6 +97,17 @@ def test_duplicate_names_rejected():
         parse_spec(bad)
 
 
+@pytest.mark.parametrize("line", [
+    "window 4", "field Q", "window 3 9", "policy nu-p 2\npolicy nu-p 2",
+    "field F5 F7", "policy nu-p 2 3", "rep w trivial 1 junk", "task koszul-check now",
+])
+def test_repeated_headers_and_trailing_tokens_rejected(line):
+    text = f"field F5\nwindow 3\nmodule A constant\nrep v trivial 1\n{line}\ntask tor A\n"
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec(text)
+    assert [ln for ln, _ in exc.value.errors] == [5 + line.count("\n")]
+
+
 def _parse_or_reject(text):
     """parse_spec either returns a job or raises SpecParseError, nothing else."""
     try:

@@ -184,7 +184,7 @@ def _random_module(kind, field, rng, window=4):
        seed=st.integers(0, 2**32 - 1))
 def test_rank_formula_matches_subquotient_oracle(kind, field, seed):
     X = _random_module(kind, field, random.Random(seed))
-    for n in range(X.valid_through + 1):
+    for n in range(X.window + 1):
         strand = total_strand(X, n) if kind == "complex" else koszul_strand(X, n)
         lo, hi = strand.lo, strand.hi
         assert strand_homology_dim(strand, lo - 1) == strand_homology_dim(strand, hi + 1) == 0
@@ -206,7 +206,7 @@ def test_cached_strands_keep_the_storage_contract(kind, field, seed):
                        fi_torsion_concentrated(basic_rep("trivial", 1, field), 1, 4))
     else:
         X = _random_module(kind, field, random.Random(seed))
-    for n in range(X.valid_through + 1):
+    for n in range(X.window + 1):
         strand = cached_strand(X, n, total_strand if kind == "complex" else None)
         strand.diff(strand.hi)
         for d in strand.diffs.values():
@@ -273,7 +273,7 @@ def test_verify_builds_each_strand_once(monkeypatch):
     assert any(c.status == "ok" for c in nu_certificate(t2, good_ideal(2, field)))
     assert max(strands.values()) == 1 and max(diffs.values()) == 1
     for M in verified:
-        assert sorted(M.strands) == list(range(M.valid_through + 1))
+        assert sorted(M.strands) == list(range(M.window + 1))
         # every differential out of a nonzero term is built
         assert all(i in s.diffs for n, s in M.strands.items()
                    for i in range(1, n + 1) if s.term_dim(i))
@@ -353,7 +353,7 @@ def test_total_strands_are_built_once_per_complex_and_degree(monkeypatch):
     certs = nu_certificate(C, good_ideal(2, field))
     assert any(c.status == "ok" for c in certs)
     assert builds and max(builds.values()) == 1
-    assert sorted(C.strands) == list(range(C.valid_through + 1))
+    assert sorted(C.strands) == list(range(C.window + 1))
 
 
 def test_only_verified_strands_are_cached(monkeypatch):
@@ -455,7 +455,7 @@ def koszul_diffs_by_words(M, n):
        b=st.integers(0, 2))
 def test_koszul_strand_matches_the_word_oracle(field, kind, seed, b):
     M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
-    for n in range(M.valid_through + 1):
+    for n in range(M.window + 1):
         strand = koszul_strand(M, n)
         strand.diff(n)
         assert strand.diffs == koszul_diffs_by_words(M, n)
@@ -484,10 +484,10 @@ def test_rank_bounds_match_elimination(field, kind, seed, b, data):
     if kind == "complex":
         f = random_induced_morphism(field, rng, 5)
         C = FIComplex({0: f.source, 1: f.target}, {0: f})
-        strands = [total_strand(C, g) for g in range(C.valid_through + 1)]
+        strands = [total_strand(C, g) for g in range(C.window + 1)]
     else:
         M = fi_shift(oracle_module(kind, field, rng), b)
-        strands = [koszul_strand(M, n) for n in range(M.valid_through + 1)]
+        strands = [koszul_strand(M, n) for n in range(M.window + 1)]
     for strand in strands:
         strand.diff(data.draw(st.integers(strand.lo, strand.hi)))
         for i in data.draw(st.permutations(range(strand.lo + 1, strand.hi + 1))):
@@ -506,14 +506,14 @@ def test_truncated_strands_and_tables_match_the_full_ones(field, kind, seed, b, 
     strands."""
     full_M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
     cut_M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
-    for n in range(full_M.valid_through + 1):
+    for n in range(full_M.window + 1):
         full = koszul_strand(full_M, n)
         full.diff(n)
         for hi in range(n + 1):
             cut = koszul_strand(full_M, n)
             cut.diff(hi)
             assert cut.diffs == {i: full.diffs[i] for i in range(1, hi + 1)}
-    i_max = min(i_max, cut_M.valid_through)
+    i_max = min(i_max, cut_M.window)
     cut_table = tor_table(cut_M, i_max)
     assert all(list(s.diffs) == list(range(1, min(n, i_max + 1) + 1))
                for n, s in cut_M.strands.items())
@@ -537,7 +537,7 @@ def test_reading_a_strand_builds_its_differentials_in_order(field, kind, seed, b
     strand whose d^2 check fails keeps the differentials below the failure
     and raises again on every read that needs it."""
     M = fi_shift(oracle_module(kind, field, random.Random(seed)), b)
-    for n in range(M.valid_through + 1):
+    for n in range(M.window + 1):
         full = koszul_strand(M, n)
         full.diff(n)
         strand = koszul_strand(M, n)
